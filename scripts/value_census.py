@@ -21,15 +21,12 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import gbswitch
 
-import numpy as np
-
-from gbswitch import DimSpec, exact_max, km_constant, make_tensor
+from gbswitch import DimSpec, exact_max, km_constant, make_tensor, sign_rows
 
 
 def census(n: int) -> Counter:
     dims = DimSpec(2, n)
-    codes = np.arange(1 << (n * n), dtype=np.int64)
-    rows = ((codes[:, None] >> np.arange(n * n)) & 1).astype(np.int8) * 2 - 1
+    rows = sign_rows(n * n)[:, ::-1]
     return Counter(exact_max(make_tensor(dims, row)).value for row in rows)
 
 

@@ -58,6 +58,7 @@ from .solvers import (
     local_search,
     majority_fix,
     random_restart_greedy,
+    sign_rows,
 )
 from .tensor import (
     DimSpec,

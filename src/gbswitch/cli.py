@@ -26,15 +26,7 @@ import numpy as np
 
 from . import bounds, experiments, lp, solvers
 from . import tensor as tz
-from .errors import (
-    BudgetExceeded,
-    DegenerateInput,
-    DimMismatch,
-    InvalidExponent,
-    LengthMismatch,
-    NonUnimodularEntry,
-    SizeOverflow,
-)
+from .errors import BudgetExceeded, DimMismatch, InvalidExponent
 from .rng import generator, sign_vector
 
 PASS = "PASS"
@@ -43,17 +35,8 @@ INFO = "INFO"
 
 CSV_HEADER = "command,m,n,p,r,seed,method,value,reference,verdict,runtime_ms"
 
-_HANDLED_ERRORS = (
-    BudgetExceeded,
-    DegenerateInput,
-    DimMismatch,
-    InvalidExponent,
-    LengthMismatch,
-    NonUnimodularEntry,
-    SizeOverflow,
-    OSError,
-    ValueError,
-)
+#: Errors reported with exit 2; the package's input errors all subclass ValueError.
+_HANDLED_ERRORS = (BudgetExceeded, OSError, ValueError)
 
 
 @dataclass
@@ -100,7 +83,7 @@ def _runtime_ms(elapsed: float) -> int:
         try:
             return int(fixed)
         except ValueError:
-            return 0
+            raise ValueError(f"GB_FIXED_RUNTIME_MS must be an integer, got {fixed!r}") from None
     return int(round(elapsed * 1000.0))
 
 
@@ -383,8 +366,8 @@ def _cmd_ksz(args, parser) -> list[ExperimentRecord]:
 
 
 def _all_boards(n: int) -> np.ndarray:
-    codes = np.arange(1 << (n * n), dtype=np.int64)
-    return (((codes[:, None] >> np.arange(n * n)) & 1).astype(np.int8) * 2 - 1)
+    """Every n x n sign board; bit j of the board's index drives flat entry j."""
+    return solvers.sign_rows(n * n)[:, ::-1]
 
 
 def _cmd_verify_extremal(args, parser) -> list[ExperimentRecord]:

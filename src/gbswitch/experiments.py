@@ -30,14 +30,13 @@ from .tensor import DimSpec, random_tensor
 
 
 def worker_count() -> int:
-    """Configured worker cap: GB_THREADS if set, else all cores."""
+    """Configured worker cap: GB_THREADS (a positive integer) if set, else all cores."""
     raw = os.environ.get("GB_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"GB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _thread_map(fn, items: Sequence):

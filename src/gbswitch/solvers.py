@@ -4,11 +4,14 @@ The exact solver enumerates sign assignments of axes 0..m-2 with the first
 coordinate of axis 0 pinned to +1 (a global sign flip of one axis never
 changes the achievable value, so half the vertex set is redundant) and
 closes the last axis analytically: for partial sums c, the optimal last
-vector is sign(c) with value sum|c|. Enumeration runs in chunked,
-vectorized passes over a fixed binary ordering chosen so that index order
-equals lexicographic witness order (-1 before +1); ties between equal
-values therefore always resolve to the lexicographically smallest witness,
-independent of chunking or worker scheduling.
+vector is sign(c) with value sum|c|. It meets in the middle (Horowitz and
+Sahni): each prefix (signs of axes 0..m-3) contracts the board to an n x n
+matrix M, and axis m-2 splits into halves whose partial sums
+H = S_hi @ M_hi and L = S_lo @ M_lo are tabulated once, so c = H[hi] + L[lo]
+costs about n operations per assignment. Index order (prefix, high, low),
+most significant bit first, equals lexicographic witness order (-1 before
++1), so ties resolve to the lexicographically smallest witness,
+independent of blocking or worker scheduling.
 
 Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 (a zero partial sum contributes nothing), but witnesses stay reproducible.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,7 @@ from .tensor import (
 #: Refuse exact enumeration beyond 2**30 assignments unless overridden.
 EXACT_BUDGET_BITS = 30
 
+#: The exact kernel scores about 2**_CHUNK_BITS assignments per block.
 _CHUNK_BITS = 14
 
 
@@ -67,47 +72,50 @@ def _sign_of(c: np.ndarray) -> np.ndarray:
     return np.where(c < 0, -1, 1).astype(np.int8)
 
 
-@functools.lru_cache(maxsize=16)
-def _enum_block(nbits: int) -> np.ndarray:
-    """All 2**nbits sign rows; row index order equals lex order (-1 < +1)."""
-    idx = np.arange(1 << nbits, dtype=np.int64)
-    shifts = nbits - 1 - np.arange(nbits, dtype=np.int64)
-    bits = ((idx[:, None] >> shifts) & 1).astype(np.int64) * 2 - 1
-    bits.setflags(write=False)
-    return bits
+def sign_rows(nbits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 of the 2**nbits sign vectors (int8) in lexicographic order.
+
+    Row k spells k in binary, most significant bit first, 0 as -1 and 1 as +1.
+    Tables of at most 2**_CHUNK_BITS rows are cached read-only.
+    """
+    if nbits <= _CHUNK_BITS:
+        return _sign_table(nbits)[start:stop]
+    idx = np.arange(start, 1 << nbits if stop is None else stop, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(nbits - 1, -1, -1)) & 1).astype(np.int8) * 2 - 1
 
 
-def _signs_for_indices(idx: np.ndarray, nbits: int) -> np.ndarray:
-    shifts = nbits - 1 - np.arange(nbits, dtype=np.int64)
-    return ((idx[:, None] >> shifts) & 1).astype(np.int64) * 2 - 1
+@functools.lru_cache(maxsize=_CHUNK_BITS + 1)
+def _sign_table(nbits: int) -> np.ndarray:
+    table = np.array(list(itertools.product((-1, 1), repeat=nbits)), dtype=np.int8).reshape(1 << nbits, nbits)
+    table.setflags(write=False)
+    return table
 
 
-def _partial_vectors(bits_row: np.ndarray, m: int, n: int) -> list[np.ndarray]:
-    """Free-coordinate row -> m-1 pinned sign vectors (axis 0 leads with +1)."""
-    full = np.concatenate(([1], bits_row)).astype(np.int8)
-    return [full[a * n:(a + 1) * n] for a in range(m - 1)]
+def _prefix_matrices(view: np.ndarray, pbits: int, start: int, count_bits: int) -> np.ndarray:
+    """The (P, n, n) contractions of the 2**count_bits prefixes from ``start``.
 
-
-def _batch_values(view64: np.ndarray, signs: np.ndarray, m: int, n: int) -> np.ndarray:
-    """values[b] = sum_i |c_i| for the b-th partial assignment in ``signs``."""
-    batch = signs.shape[0]
-    full = np.concatenate((np.ones((batch, 1), dtype=np.int64), signs), axis=1)
-    cur = None
-    for a in range(m - 1):
-        block = full[:, a * n:(a + 1) * n]
-        if cur is None:
-            cur = np.einsum("bi,i...->b...", block, view64)
-        else:
-            cur = np.einsum("bi,bi...->b...", block, cur)
-    return np.abs(cur).sum(axis=1)
+    Axes left fixed by the varying last ``count_bits`` prefix bits contract
+    once; each later axis meets every partial result with its sign rows.
+    """
+    m, n = view.ndim, view.shape[0]
+    fixed = np.concatenate((np.ones(1, dtype=np.int8), sign_rows(pbits, start, start + 1)[0]))
+    cur = view.reshape(1, n, -1)
+    for a in range(m - 2):
+        vary = min(n, max(0, count_bits - n * (m - 3 - a)))  # varying bits on axis a
+        rows = np.repeat(fixed[None, a * n:(a + 1) * n], 1 << vary, axis=0)
+        rows[:, n - vary:] = sign_rows(vary)
+        cur = (rows @ cur).reshape(-1, n, cur.shape[-1] // n)
+    return cur.reshape(-1, n, n)
 
 
 def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
     """Exact maximum of the switching form over all +/-1 assignments.
 
-    Enumerates 2**(n(m-1)-1) partial assignments and closes the last axis
-    with the majority step; refuses instances with n(m-1)-1 >
-    EXACT_BUDGET_BITS unless ``allow_large`` is set.
+    Enumerates 2**(n(m-1)-1) partial assignments with the split kernel (see
+    the module docstring) and closes the last axis with the majority step;
+    refuses instances with n(m-1)-1 > EXACT_BUDGET_BITS unless
+    ``allow_large`` is set. Sums are int32 when n**m < 2**31, else int64;
+    both are exact, as every |c_i| <= n**(m-1) and every sum|c| <= n**m.
     """
     m, n = tensor.dims.m, tensor.dims.n
     if m == 1:
@@ -118,28 +126,32 @@ def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
         raise BudgetExceeded(
             f"2**{nbits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget; pass allow_large=True to force"
         )
-    view64 = tensor.view().astype(np.int64)
-    total = 1 << nbits
+    dtype = np.int32 if n ** m < 2 ** 31 else np.int64
+    view = tensor.view().astype(dtype)
+    kbits = n - 1 if m == 2 else n  # free bits of axis m-2; the rest are prefix bits
+    pbits, lbits = nbits - kbits, min(kbits // 2, _CHUNK_BITS)
+    hbits = kbits - lbits
+    # A block is 2**pblock prefixes x 2**hblock high halves x every low half.
+    pblock, hblock = max(0, min(pbits, _CHUNK_BITS - kbits)), min(hbits, max(0, _CHUNK_BITS - lbits))
+    s_lo = sign_rows(lbits)
     best_value = -1
-    best_index = 0
-    if nbits <= _CHUNK_BITS:
-        values = _batch_values(view64, _enum_block(nbits), m, n)
-        best_index = int(values.argmax())
-        best_value = int(values[best_index])
-    else:
-        chunk = 1 << _CHUNK_BITS
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            values = _batch_values(view64, _signs_for_indices(idx, nbits), m, n)
-            j = int(values.argmax())
-            if int(values[j]) > best_value:
-                best_value = int(values[j])
-                best_index = start + j
-    bits_row = _signs_for_indices(np.array([best_index], dtype=np.int64), nbits)[0]
-    partial = _partial_vectors(bits_row, m, n)
-    c = partial_contraction(tensor, m - 1, partial)
-    vectors = partial + [_sign_of(c)]
-    return _checked_result(tensor, best_value, vectors, Method.EXACT, total)
+    for p0 in range(0, 1 << pbits, 1 << pblock):
+        mats = _prefix_matrices(view, pbits, p0, pblock)
+        base = mats[:, :n - kbits].sum(axis=1, keepdims=True, dtype=dtype)  # pinned row 0 at m = 2
+        free = mats[:, n - kbits:]
+        lo = np.swapaxes(free[:, hbits:], 1, 2) @ s_lo.T  # (P, n, 2**lbits), contiguous
+        for h0 in range(0, 1 << hbits, 1 << hblock):
+            s_hi = sign_rows(hbits, h0, h0 + (1 << hblock))
+            hi = s_hi @ free[:, :hbits] + base
+            sums = hi[..., None] + lo[:, None]
+            values = np.abs(sums, out=sums).sum(axis=2, dtype=dtype)
+            k = int(values.argmax())
+            if int(values.flat[k]) > best_value:
+                best_value = int(values.flat[k])
+                p, r, low = np.unravel_index(k, values.shape)
+                bits = np.concatenate(([1], sign_rows(pbits, p0 + p, p0 + p + 1)[0], s_hi[r], s_lo[low]))
+                best_vectors = [*bits.reshape(m - 1, n), _sign_of(hi[p, r] + lo[p, :, low])]
+    return _checked_result(tensor, best_value, best_vectors, Method.EXACT, 1 << nbits)
 
 
 def majority_fix(tensor: SignTensor, partial) -> tuple[np.ndarray, int]:

@@ -258,3 +258,20 @@ def test_determinism_across_workers(cf_file, monkeypatch, tmp_path):
         assert code in (0, 1)
         outputs[workers] = out
     assert outputs["1"] == outputs["4"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_gb_threads_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("GB_THREADS", value)
+    code, out = invoke(["ksz", "--m", "2", "--n", "2:3", "--samples", "4", "--seed", "1"], monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "GB_THREADS" in capsys.readouterr().err
+
+
+def test_bad_fixed_runtime_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("GB_FIXED_RUNTIME_MS", "abc")
+    code, out = invoke(["verify-extremal"], monkeypatch, fixed_runtime=False)
+    assert code == 2
+    assert out == ""
+    assert "GB_FIXED_RUNTIME_MS" in capsys.readouterr().err

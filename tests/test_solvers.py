@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_boards, all_sign_vectors, brute_force_max
+from conftest import all_boards, all_sign_vectors, board_from_code, brute_force_max, lex_first_exact, lex_values
 from gbswitch import (
     BudgetExceeded,
     DimSpec,
@@ -21,7 +21,10 @@ from gbswitch import (
     make_tensor,
     random_restart_greedy,
     random_tensor,
+    sign_rows,
 )
+from gbswitch.cli import _all_boards
+from gbswitch.solvers import _CHUNK_BITS
 
 D22 = DimSpec(2, 2)
 CF = make_tensor(D22, [1, 1, 1, -1])
@@ -75,6 +78,61 @@ def test_exact_max_tie_break_is_lexicographic():
     res = exact_max(CF)
     assert res.witness.vectors.tolist() == [[1, -1], [1, 1]]
     assert res.evaluations == 2
+
+
+WITNESS_SIZES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)] + [(4, 2), (5, 2)]
+
+
+def _tie_heavy_boards(m, n):
+    """The all-ones board and its CF-like variant (the last corner entry flipped)."""
+    ones = [1] * n ** m
+    return [make_tensor(DimSpec(m, n), ones), make_tensor(DimSpec(m, n), ones[:-1] + [-1])]
+
+
+@pytest.mark.parametrize("m,n", WITNESS_SIZES)
+def test_exact_max_witness_matches_lex_oracle(m, n):
+    boards = _tie_heavy_boards(m, n) + [random_tensor(DimSpec(m, n), generator(41, m, n, i)) for i in range(4)]
+    for board in boards:
+        value, vectors = lex_first_exact(board)
+        res = exact_max(board)
+        assert res.value == value
+        assert res.witness.vectors.tolist() == vectors
+        assert res.evaluations == 2 ** (n * (m - 1) - 1)
+
+
+@pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 8, 0), (4, 6, 7), (5, 4, 9)])
+def test_exact_max_witness_when_maxima_span_blocks(m, n, seed):
+    board = random_tensor(DimSpec(m, n), generator(seed, m, n))
+    values, rows = lex_values(board)
+    maxima = np.flatnonzero(values == values.max())
+    assert len(set((maxima >> _CHUNK_BITS).tolist())) > 1  # ties in more than one block
+    partial = rows(maxima[0])[0].reshape(m - 1, n)
+    last = majority_fix(board, list(partial))[0]
+    res = exact_max(board)
+    assert res.value == values.max()
+    assert res.witness.vectors.tolist() == partial.tolist() + [last.tolist()]
+    assert res.evaluations == len(values)
+
+
+def test_sign_rows_lexicographic_and_cached():
+    assert sign_rows(2).tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    assert sign_rows(3, 5, 7).tolist() == [[1, -1, 1], [1, 1, -1]]
+    assert sign_rows(0).shape == (1, 0)
+    small = sign_rows(_CHUNK_BITS)
+    assert small.base is not None and small.base is sign_rows(_CHUNK_BITS).base  # one cached table
+    assert not small.flags.writeable
+    big = sign_rows(_CHUNK_BITS + 1)
+    assert big.base is None and big.flags.writeable  # built per call, never cached
+    assert np.array_equal(sign_rows(_CHUNK_BITS + 1, 3, 9), big[3:9])
+    assert np.array_equal(big[:, 1:], np.vstack([small, small]))
+
+
+def test_all_boards_follow_code_order():
+    for n in (2, 3):
+        boards = _all_boards(n)
+        assert boards.shape == (1 << (n * n), n * n)
+        for code in (0, 1, 5, (1 << (n * n)) - 1):
+            assert boards[code].tolist() == board_from_code(n, code).entries.tolist()
 
 
 def test_majority_fix_examples():
