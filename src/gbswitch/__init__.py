@@ -55,6 +55,7 @@ from .solvers import (
     SolveResult,
     classify_extremal,
     exact_max,
+    exact_max_batch,
     local_search,
     majority_fix,
     random_restart_greedy,

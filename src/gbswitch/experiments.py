@@ -9,13 +9,13 @@ predicted random-signs exponent.
 Seed discipline: the tensor for sample index i at side n is drawn from
 mix(seed, n, i); solver randomness, where needed, from mix(seed, n, i, 1).
 Sample minima therefore nest (more samples can only lower the minimum for
-the same root seed) and results are identical under any worker schedule.
+the same root seed). Exact norms come from one ``exact_max_batch`` call
+per n, on the calling thread; GB_THREADS is only validated.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,28 +25,16 @@ from .bounds import INF, as_exponent, ksz_exponent
 from .errors import DegenerateInput
 from .lp import alternating_max
 from .rng import generator, mix
-from .solvers import EXACT_BUDGET_BITS, exact_max
+from .solvers import EXACT_BUDGET_BITS, exact_max_batch
 from .tensor import DimSpec, random_tensor
 
 
 def worker_count() -> int:
-    """Configured worker cap: GB_THREADS (a positive integer) if set, else all cores."""
-    raw = os.environ.get("GB_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
+    """GB_THREADS, a positive integer, 1 when unset (else ValueError); it schedules nothing."""
+    raw = os.environ.get("GB_THREADS", "").strip() or "1"
     if not raw.isdecimal() or int(raw) < 1:
         raise ValueError(f"GB_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
-
-
-def _thread_map(fn, items: Sequence):
-    """Order-preserving parallel map; output is identical for any worker count."""
-    items = list(items)
-    workers = min(worker_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -96,19 +84,12 @@ def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int =
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     pc = as_exponent(p)
-    dims = DimSpec(m, n)
     exact = pc == INF and (n * (m - 1) - 1) <= EXACT_BUDGET_BITS
-
-    def norm_of(i: int) -> float:
-        tensor = random_tensor(dims, generator(seed, n, i))
-        if exact:
-            return float(exact_max(tensor).value)
-        return alternating_max(tensor, pc, starts=starts, seed=mix(seed, n, i, 1)).value
-
-    chunk = 64
-    ranges = [range(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    minima = _thread_map(lambda idx: min(norm_of(i) for i in idx), ranges)
-    return NormSample(m=m, n=n, p=pc, min_norm=min(minima), samples=samples, seed=seed, exact=exact)
+    worker_count()  # a malformed GB_THREADS fails loudly
+    draws = (random_tensor(DimSpec(m, n), generator(seed, n, i)) for i in range(samples))
+    norms = (exact_max_batch(m, n, np.stack([t.entries for t in draws]))[0].tolist() if exact else
+             [alternating_max(t, pc, starts=starts, seed=mix(seed, n, i, 1)).value for i, t in enumerate(draws)])
+    return NormSample(m=m, n=n, p=pc, min_norm=float(min(norms)), samples=samples, seed=seed, exact=exact)
 
 
 def fit_exponent(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -151,9 +132,7 @@ def sharpness_experiment(
     only issued when every norm is exact (p = inf within budget); estimated
     norms are lower bounds, so their minima cannot certify sharpness.
     """
-    norm_samples = tuple(
-        _thread_map(lambda n: sample_min_norm(m, n, p, samples, seed, starts=starts), list(n_values))
-    )
+    norm_samples = tuple(sample_min_norm(m, n, p, samples, seed, starts=starts) for n in n_values)
     fit = fit_exponent((s.n, s.min_norm) for s in norm_samples)
     reference = float(ksz_exponent(m, p))
     exact_all = all(s.exact for s in norm_samples)

@@ -8,10 +8,12 @@ vector is sign(c) with value sum|c|. It meets in the middle (Horowitz and
 Sahni): each prefix (signs of axes 0..m-3) contracts the board to an n x n
 matrix M, and axis m-2 splits into halves whose partial sums
 H = S_hi @ M_hi and L = S_lo @ M_lo are tabulated once, so c = H[hi] + L[lo]
-costs about n operations per assignment. Index order (prefix, high, low),
-most significant bit first, equals lexicographic witness order (-1 before
-+1), so ties resolve to the lexicographically smallest witness,
-independent of blocking or worker scheduling.
+costs about n operations per assignment. Boards are the leading axis: a
+block is 2**max(0, _CHUNK_BITS + 1 - n(m-1)) boards x prefixes x high
+halves x every low half, within max(2**_CHUNK_BITS * n, n**(m-1)) elements.
+Index order (prefix, high, low), most significant bit first, is
+lexicographic witness order (-1 before +1); a board moves to a later
+block's first argmax only if strictly greater, so ties keep the smallest.
 
 Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 (a zero partial sum contributes nothing), but witnesses stay reproducible.
@@ -21,19 +23,20 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonUnimodularEntry
+from .errors import BudgetExceeded, LengthMismatch, NonUnimodularEntry
 from .rng import generator, sign_vector
 from .tensor import (
+    DimSpec,
     SignTensor,
     SwitchAssignment,
     evaluate,
     make_assignment,
     partial_contraction,
+    _validate_signs,
 )
 
 #: Refuse exact enumeration beyond 2**30 assignments unless overridden.
@@ -80,78 +83,114 @@ def sign_rows(nbits: int, start: int = 0, stop: int | None = None) -> np.ndarray
     """
     if nbits <= _CHUNK_BITS:
         return _sign_table(nbits)[start:stop]
-    idx = np.arange(start, 1 << nbits if stop is None else stop, dtype=np.int64)
+    return _signs_at(np.arange(start, 1 << nbits if stop is None else stop, dtype=np.int64), nbits)
+
+
+def _signs_at(idx: np.ndarray, nbits: int) -> np.ndarray:
+    """The sign rows (int8) of the lexicographic indices ``idx``, as in ``sign_rows``."""
     return ((idx[:, None] >> np.arange(nbits - 1, -1, -1)) & 1).astype(np.int8) * 2 - 1
 
 
 @functools.lru_cache(maxsize=_CHUNK_BITS + 1)
 def _sign_table(nbits: int) -> np.ndarray:
-    table = np.array(list(itertools.product((-1, 1), repeat=nbits)), dtype=np.int8).reshape(1 << nbits, nbits)
+    table = _signs_at(np.arange(1 << nbits), nbits)
     table.setflags(write=False)
     return table
 
 
-def _prefix_matrices(view: np.ndarray, pbits: int, start: int, count_bits: int) -> np.ndarray:
-    """The (P, n, n) contractions of the 2**count_bits prefixes from ``start``.
+def _prefix_matrices(view: np.ndarray, m: int, n: int, pbits: int, start: int, count_bits: int) -> np.ndarray:
+    """The (B, P, n, n) contractions of B flat boards by the 2**count_bits prefixes from ``start``.
 
     Axes left fixed by the varying last ``count_bits`` prefix bits contract
     once; each later axis meets every partial result with its sign rows.
     """
-    m, n = view.ndim, view.shape[0]
     fixed = np.concatenate((np.ones(1, dtype=np.int8), sign_rows(pbits, start, start + 1)[0]))
-    cur = view.reshape(1, n, -1)
+    cur = view.reshape(len(view), n, -1)
     for a in range(m - 2):
         vary = min(n, max(0, count_bits - n * (m - 3 - a)))  # varying bits on axis a
         rows = np.repeat(fixed[None, a * n:(a + 1) * n], 1 << vary, axis=0)
         rows[:, n - vary:] = sign_rows(vary)
-        cur = (rows @ cur).reshape(-1, n, cur.shape[-1] // n)
-    return cur.reshape(-1, n, n)
+        cur = (rows @ cur).reshape(len(view), -1, n, cur.shape[-1] // n)
+    return cur.reshape(len(view), -1, n, n)
+
+
+def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Values (B,) int64 and first-maximum witnesses (B, m, n) int8 of a (B, n**m) stack."""
+    nbits = n * (m - 1) - 1
+    if nbits > EXACT_BUDGET_BITS and not allow_large:
+        raise BudgetExceeded(f"2**{nbits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget; "
+                             "pass allow_large=True to force")
+    if m == 1:
+        return np.full(len(boards), n, dtype=np.int64), _sign_of(boards).reshape(-1, 1, n)
+    dtype = np.int32 if n ** m < 2 ** 31 else np.int64
+    kbits = n - 1 if m == 2 else n  # free bits of axis m-2; the rest are prefix bits
+    pbits, lbits = nbits - kbits, min(kbits // 2, _CHUNK_BITS)
+    hbits = kbits - lbits
+    pblock, hblock = max(0, min(pbits, _CHUNK_BITS - kbits)), min(hbits, max(0, _CHUNK_BITS - lbits))
+    bblock, s_lo = 1 << max(0, _CHUNK_BITS - nbits), sign_rows(lbits)
+    best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)
+    witnesses = np.empty((len(boards), m, n), dtype=np.int8)
+    for b0 in range(0, len(boards), bblock):
+        view = boards[b0:b0 + bblock].astype(dtype)
+        for p0 in range(0, 1 << pbits, 1 << pblock):
+            mats = _prefix_matrices(view, m, n, pbits, p0, pblock)
+            base = mats[:, :, :n - kbits].sum(axis=2, keepdims=True, dtype=dtype)  # pinned row 0 at m = 2
+            free = mats[:, :, n - kbits:]
+            lo = np.swapaxes(free[:, :, hbits:], 2, 3) @ s_lo.T  # (B, P, n, 2**lbits), contiguous
+            for h0 in range(0, 1 << hbits, 1 << hblock):
+                s_hi = sign_rows(hbits, h0, h0 + (1 << hblock))
+                hi = s_hi @ free[:, :, :hbits] + base
+                sums = hi[..., None] + lo[:, :, None]
+                values = np.abs(sums, out=sums).sum(axis=3, dtype=dtype).reshape(len(view), -1)
+                k = values.argmax(axis=1)
+                if len(view) > 1:  # boards that share a block have no other block
+                    best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=1), k
+                elif values.flat[k[0]] > best[b0]:  # strictly: earlier blocks keep ties
+                    # k counts (prefix, high, low) from (p0, h0, 0): a block has one prefix or every high half
+                    best[b0], index[b0] = values.flat[k[0]], k[0] + ((p0 << kbits) | (h0 << lbits))
+        partial = _signs_at(index[b0:b0 + bblock] | 1 << nbits, nbits + 1).reshape(-1, m - 1, n)  # top bit: x0[0] = 1
+        c = view
+        for a in range(m - 1):
+            c = partial[:, a, None] @ c.reshape(len(c), n, -1)
+        witnesses[b0:b0 + bblock] = np.concatenate((partial, _sign_of(c).reshape(-1, 1, n)), axis=1)
+    return best, witnesses
 
 
 def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
     """Exact maximum of the switching form over all +/-1 assignments.
 
-    Enumerates 2**(n(m-1)-1) partial assignments with the split kernel (see
-    the module docstring) and closes the last axis with the majority step;
+    Runs the split kernel (see the module docstring) on a one-board stack;
     refuses instances with n(m-1)-1 > EXACT_BUDGET_BITS unless
     ``allow_large`` is set. Sums are int32 when n**m < 2**31, else int64;
     both are exact, as every |c_i| <= n**(m-1) and every sum|c| <= n**m.
     """
     m, n = tensor.dims.m, tensor.dims.n
-    if m == 1:
-        c = tensor.view().astype(np.int64)
-        return _checked_result(tensor, int(np.abs(c).sum()), [_sign_of(c)], Method.EXACT, 1)
-    nbits = n * (m - 1) - 1
-    if nbits > EXACT_BUDGET_BITS and not allow_large:
-        raise BudgetExceeded(
-            f"2**{nbits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget; pass allow_large=True to force"
-        )
-    dtype = np.int32 if n ** m < 2 ** 31 else np.int64
-    view = tensor.view().astype(dtype)
-    kbits = n - 1 if m == 2 else n  # free bits of axis m-2; the rest are prefix bits
-    pbits, lbits = nbits - kbits, min(kbits // 2, _CHUNK_BITS)
-    hbits = kbits - lbits
-    # A block is 2**pblock prefixes x 2**hblock high halves x every low half.
-    pblock, hblock = max(0, min(pbits, _CHUNK_BITS - kbits)), min(hbits, max(0, _CHUNK_BITS - lbits))
-    s_lo = sign_rows(lbits)
-    best_value = -1
-    for p0 in range(0, 1 << pbits, 1 << pblock):
-        mats = _prefix_matrices(view, pbits, p0, pblock)
-        base = mats[:, :n - kbits].sum(axis=1, keepdims=True, dtype=dtype)  # pinned row 0 at m = 2
-        free = mats[:, n - kbits:]
-        lo = np.swapaxes(free[:, hbits:], 1, 2) @ s_lo.T  # (P, n, 2**lbits), contiguous
-        for h0 in range(0, 1 << hbits, 1 << hblock):
-            s_hi = sign_rows(hbits, h0, h0 + (1 << hblock))
-            hi = s_hi @ free[:, :hbits] + base
-            sums = hi[..., None] + lo[:, None]
-            values = np.abs(sums, out=sums).sum(axis=2, dtype=dtype)
-            k = int(values.argmax())
-            if int(values.flat[k]) > best_value:
-                best_value = int(values.flat[k])
-                p, r, low = np.unravel_index(k, values.shape)
-                bits = np.concatenate(([1], sign_rows(pbits, p0 + p, p0 + p + 1)[0], s_hi[r], s_lo[low]))
-                best_vectors = [*bits.reshape(m - 1, n), _sign_of(hi[p, r] + lo[p, :, low])]
-    return _checked_result(tensor, best_value, best_vectors, Method.EXACT, 1 << nbits)
+    values, witnesses = _exact_kernel(m, n, tensor.entries[None], allow_large)
+    return _checked_result(tensor, int(values[0]), witnesses[0], Method.EXACT, 1 << max(0, n * (m - 1) - 1))
+
+
+def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
+    """Values (B,) int64 and witnesses (B, m, n) int8 of a (B, n**m) +/-1 stack.
+
+    Row i matches ``exact_max`` on the board with flat entries ``entries[i]``,
+    witness bytes included. Input errors are raised before any kernel array
+    exists; every witness is re-evaluated in int64 (AssertionError if not).
+    """
+    boards = np.asarray(entries)
+    if boards.ndim != 2 or boards.shape[1] != DimSpec(m, n).size:
+        raise LengthMismatch(f"expected rows of n**m = {n ** m} entries, got shape {boards.shape}")
+    if not len(boards):
+        raise ValueError("exact_max_batch needs at least one board")
+    _validate_signs(boards)
+    values, witnesses = _exact_kernel(m, n, boards)
+    step = 1 << max(0, _CHUNK_BITS + 1 - n * (m - 1))
+    for b0 in range(0, len(boards), step):
+        cur = boards[b0:b0 + step].astype(np.int64)
+        for a in range(m):
+            cur = witnesses[b0:b0 + step, a, None].astype(np.int64) @ cur.reshape(len(cur), n, -1)
+        if (cur.reshape(-1) != values[b0:b0 + step]).any() or (np.abs(witnesses[b0:b0 + step]) != 1).any():
+            raise AssertionError(f"witness re-evaluation mismatch in boards {b0}..{b0 + len(cur) - 1}")
+    return values, witnesses
 
 
 def majority_fix(tensor: SignTensor, partial) -> tuple[np.ndarray, int]:

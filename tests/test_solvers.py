@@ -7,12 +7,14 @@ from conftest import all_boards, all_sign_vectors, board_from_code, brute_force_
 from gbswitch import (
     BudgetExceeded,
     DimSpec,
+    LengthMismatch,
     Method,
     NonUnimodularEntry,
     apply_switch,
     classify_extremal,
     evaluate,
     exact_max,
+    exact_max_batch,
     generator,
     km_constant,
     local_search,
@@ -23,6 +25,7 @@ from gbswitch import (
     random_tensor,
     sign_rows,
 )
+from gbswitch import solvers
 from gbswitch.cli import _all_boards
 from gbswitch.solvers import _CHUNK_BITS
 
@@ -112,6 +115,103 @@ def test_exact_max_witness_when_maxima_span_blocks(m, n, seed):
     assert res.value == values.max()
     assert res.witness.vectors.tolist() == partial.tolist() + [last.tolist()]
     assert res.evaluations == len(values)
+
+
+@pytest.mark.parametrize("m,n,seed", [(2, 16, 0), (2, 17, 0), (3, 8, 4)])
+def test_exact_max_first_maximum_past_the_first_block(m, n, seed):
+    board = random_tensor(DimSpec(m, n), generator(seed, m, n))
+    values, rows = lex_values(board)
+    first = int(np.flatnonzero(values == values.max())[0])
+    assert first >= 1 << _CHUNK_BITS  # the first maximum lies in a later high-half or prefix block
+    partial = rows(first)[0].reshape(m - 1, n)
+    expected = partial.tolist() + [majority_fix(board, list(partial))[0].tolist()]
+    assert exact_max(board).witness.vectors.tolist() == expected
+    batch_values, witnesses = exact_max_batch(m, n, board.entries[None])
+    assert batch_values[0] == values.max() and witnesses[0].tolist() == expected
+
+
+def _assert_batch_matches_exact_max(m, n, boards):
+    values, witnesses = exact_max_batch(m, n, boards)
+    assert values.dtype == np.int64 and witnesses.dtype == np.int8
+    assert witnesses.shape == (len(boards), m, n)
+    for row, value, witness in zip(boards, values, witnesses):
+        res = exact_max(make_tensor(DimSpec(m, n), row))
+        assert value == res.value
+        assert witness.tobytes() == res.witness.vectors.tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)])
+def test_exact_max_batch_matches_exact_max_on_every_board(m, n):
+    _assert_batch_matches_exact_max(m, n, sign_rows(n ** m))
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (4, 3)])
+def test_exact_max_batch_matches_exact_max_on_random_stacks(m, n):
+    # 300 boards fill more than one board block at m=2 n=7 and m=4 n=3
+    boards = generator(43, m, n).integers(0, 2, size=(300, n ** m), dtype=np.int8) * 2 - 1
+    _assert_batch_matches_exact_max(m, n, boards)
+
+
+@pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 8, 0), (4, 6, 7), (5, 4, 9)])
+def test_exact_max_batch_when_maxima_span_blocks(m, n, seed):
+    # the first board is the one of test_exact_max_witness_when_maxima_span_blocks
+    boards = [random_tensor(DimSpec(m, n), generator(seed, m, n, *extra)) for extra in ((), (1,), (2,))]
+    _assert_batch_matches_exact_max(m, n, np.stack([board.entries for board in boards]))
+
+
+@pytest.mark.parametrize("m,n", WITNESS_SIZES)
+def test_exact_max_batch_matches_lex_oracle_on_tie_heavy_boards(m, n):
+    boards = _tie_heavy_boards(m, n)
+    values, witnesses = exact_max_batch(m, n, np.stack([board.entries for board in boards]))
+    for board, value, witness in zip(boards, values, witnesses):
+        assert (value, witness.tolist()) == lex_first_exact(board)
+
+
+def test_exact_max_batch_rejects_corrupted_witness(monkeypatch):
+    kernel = solvers._exact_kernel
+
+    def negate_last_vector(m, n, boards):
+        values, witnesses = kernel(m, n, boards)
+        witnesses[5, m - 1] *= -1  # the form changes sign, and every value is positive
+        return values, witnesses
+
+    def zero_entry(m, n, boards):
+        values, witnesses = kernel(m, n, boards)
+        witnesses[2, 0, 1] = 0
+        return values, witnesses
+
+    for corrupt in (negate_last_vector, zero_entry):
+        monkeypatch.setattr(solvers, "_exact_kernel", corrupt)
+        with pytest.raises(AssertionError, match="witness re-evaluation mismatch"):
+            exact_max_batch(2, 3, sign_rows(9))
+
+
+def test_exact_max_batch_input_errors_before_kernel(monkeypatch):
+    boards = sign_rows(4)
+    values, witnesses = exact_max_batch(2, 2, boards.astype(np.float64))  # +/-1 floats pass, as in make_tensor
+    assert values.tolist() == [exact_max(make_tensor(D22, row)).value for row in boards]
+    # the kernel refuses these before it allocates anything
+    for m, n in ((2, 32), (3, 16)):
+        with pytest.raises(BudgetExceeded):
+            exact_max_batch(m, n, np.ones((1, n ** m), dtype=np.int8))
+
+    def unreachable(m, n, stack):
+        raise AssertionError("kernel reached")
+
+    monkeypatch.setattr(solvers, "_exact_kernel", unreachable)
+    cases = [
+        ((2, 2, np.where(boards > 0, 2, -1)), NonUnimodularEntry),
+        ((2, 2, boards > 0), NonUnimodularEntry),
+        ((2, 2, boards.astype(np.complex128)), NonUnimodularEntry),
+        ((2, 2, boards[:, :3]), LengthMismatch),
+        ((2, 2, boards[0]), LengthMismatch),
+        ((2, 2, boards.reshape(16, 2, 2)), LengthMismatch),
+        ((2, 2, boards[:0]), ValueError),
+    ]
+    for args, error in cases:
+        with pytest.raises(error) as excinfo:
+            exact_max_batch(*args)
+        assert excinfo.type is error
 
 
 def test_sign_rows_lexicographic_and_cached():
