@@ -365,6 +365,10 @@ def _cmd_ksz(args, parser) -> list[ExperimentRecord]:
     return records
 
 
+#: verify-bound tabulates every n x n board at once, so n*n stays within this many bits.
+_SWEEP_BITS = 16
+
+
 def _all_boards(n: int) -> np.ndarray:
     """Every n x n sign board; bit j of the board's index drives flat entry j."""
     return solvers.sign_rows(n * n)[:, ::-1]
@@ -392,6 +396,9 @@ def _cmd_verify_extremal(args, parser) -> list[ExperimentRecord]:
 
 
 def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
+    if args.max_n ** 2 > _SWEEP_BITS:
+        raise BudgetExceeded(f"--max-n {args.max_n} would tabulate all 2**{args.max_n ** 2} boards; "
+                             f"the limit is 2**{_SWEEP_BITS} boards (--max-n {math.isqrt(_SWEEP_BITS)})")
     if args.m3_samples > 0:
         _require_seed(args, parser)
     records = []

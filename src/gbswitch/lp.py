@@ -2,9 +2,17 @@
 
 With all axes but one frozen, the form is linear in the remaining vector
 and its maximizer over the lp ball has a closed form through Holder
-duality. Cycling that update over the axes gives a monotone ascent; the
-terminal witness is feasible, so the achieved value is a certified lower
-bound on the true lp game value (never claimed to attain it).
+duality. Cycling that update over the axes gives a monotone ascent (a
+higher-order power iteration, De Lathauwer et al. 2000); the terminal
+witness is feasible, so the achieved value is a certified lower bound on
+the true lp game value (never claimed to attain it).
+
+The random starts of one solve are stacked: the board is cast to float64
+once, each axis update contracts every live start at once
+(``tensor._contract``) and takes the dual update row by row
+(``_dual_coords``). Each row does the same floating-point operations in the
+same order as a lone start, so values, witnesses and traces are the same
+bytes as a per-start loop.
 """
 
 from __future__ import annotations
@@ -18,20 +26,28 @@ import numpy as np
 from .bounds import INF, as_exponent, km_constant
 from .errors import InvalidExponent
 from .rng import generator, sign_vector
-from .tensor import SignTensor, evaluate_real, partial_contraction
+from .tensor import SignTensor, _contract, _stack_rows
 
 _UNIT_TOL = 1e-12
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:
     """lp norm of a vector, overflow-safe for large p."""
-    a = np.abs(np.asarray(v, dtype=np.float64))
-    if a.size == 0 or not a.any():
-        return 0.0
+    a = np.abs(np.asarray(v, dtype=np.float64)).reshape(1, -1)
+    return float(_row_norms(a, p)[0]) if a.size else 0.0
+
+
+def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """lp norms of the rows of a nonnegative (S, n) array, overflow-safe for large p.
+
+    Each row is scaled by its max entry (a zero row by 1), and the final
+    power is taken per row on a scalar, as for a single vector.
+    """
+    top = a.max(axis=1)
     if math.isinf(p):
-        return float(a.max())
-    top = float(a.max())
-    return top * float(((a / top) ** p).sum() ** (1.0 / p))
+        return top
+    sums = ((a / np.where(top > 0, top, 1.0)[:, None]) ** p).sum(axis=1)
+    return np.array([t * float(s ** (1.0 / p)) for t, s in zip(top.tolist(), sums)])
 
 
 @dataclass(frozen=True)
@@ -72,26 +88,24 @@ def _exponent_float(p) -> float:
     return math.inf if pc == INF else float(pc)
 
 
-def _dual_coords(c: np.ndarray, pf: float) -> tuple[np.ndarray, float]:
-    n = c.size
-    if not c.any():
-        basis = np.zeros(n)
-        basis[0] = 1.0
-        return basis, 0.0
+def _dual_coords(c: np.ndarray, pf: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise dual_update of an (S, n) float64 stack: coords (S, n) and values (S,)."""
+    a, sign = np.abs(c), np.where(c < 0, -1.0, 1.0)
     if math.isinf(pf):
-        return np.where(c < 0, -1.0, 1.0), float(np.abs(c).sum())
-    if pf == 1.0:
-        j = int(np.abs(c).argmax())
-        x = np.zeros(n)
-        x[j] = 1.0 if c[j] >= 0 else -1.0
-        return x, float(abs(c[j]))
-    q = pf / (pf - 1.0)
-    value = lp_norm(c, q)
-    x = np.where(c < 0, -1.0, 1.0) * (np.abs(c) / value) ** (q - 1.0)
-    norm = lp_norm(x, pf)
-    if norm > 0:
-        x = x / norm
-    return x, value
+        x, values = sign, a.sum(axis=1)
+    elif pf == 1.0:
+        rows, j = np.arange(len(c)), a.argmax(axis=1)
+        x = np.zeros(c.shape)
+        x[rows, j] = sign[rows, j]
+        values = a[rows, j]
+    else:
+        q = pf / (pf - 1.0)
+        values = _row_norms(a, q)
+        x = sign * (a / np.where(values > 0, values, 1.0)[:, None]) ** (q - 1.0)
+        norm = _row_norms(np.abs(x), pf)[:, None]
+        x = np.divide(x, norm, out=x, where=norm > 0)
+    x[~c.any(axis=1)] = np.eye(1, c.shape[1])  # a zero row: the first basis vector, value 0
+    return x, values
 
 
 def dual_update(c, p) -> tuple[LpPoint, float]:
@@ -103,8 +117,8 @@ def dual_update(c, p) -> tuple[LpPoint, float]:
     A zero c returns the first standard basis vector with value 0.
     """
     pf = _exponent_float(p)
-    coords, value = _dual_coords(np.asarray(c, dtype=np.float64), pf)
-    return LpPoint(pf, coords), value
+    coords, values = _dual_coords(np.asarray(c, dtype=np.float64).reshape(1, -1), pf)
+    return LpPoint(pf, coords[0]), float(values[0])
 
 
 def _start_vectors(rng, m: int, n: int, pf: float) -> list[np.ndarray]:
@@ -127,38 +141,51 @@ def alternating_max(
 
     Each sweep replaces axis k's vector with the dual_update of the
     partial contraction over axis k, for k = 0..m-1 in order; a start
-    stops when
-    the per-sweep improvement drops below ``tol`` relative to the current
-    value or after ``sweeps_max`` sweeps (reported via the trace; running
-    out of sweeps is not an error). Per-start randomness derives from
-    (seed, start index); ties keep the earliest start.
+    stops when the per-sweep improvement drops below ``tol`` relative to
+    the current value or after ``sweeps_max`` sweeps (reported via the
+    trace; running out of sweeps is not an error). Per-start randomness
+    derives from (seed, start index); ties keep the earliest start.
+
+    The starts run as one (S, m, n) stack over one float64 copy of the
+    board, in blocks that keep every contraction temporary within
+    max(2**14 * n, n**(m-1)) elements. Each axis update is one stacked
+    contraction for every start still sweeping, and a start leaves the
+    stack at its own convergence sweep. A row computes bit for bit what the
+    start computes alone: its trace, sweep count and ``converged`` flag do
+    not depend on the other starts.
     """
     pf = _exponent_float(p)
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if sweeps_max < 1:
         raise ValueError(f"sweeps_max must be >= 1, got {sweeps_max}")
-    m = tensor.dims.m
+    m, n = tensor.dims.m, tensor.dims.n
+    typed = tensor.view().astype(np.float64)
+    moved = [np.moveaxis(typed, k, 0) for k in range(m)]
+    others = [[j for j in range(m) if j != k] for k in range(m)]
+    block = _stack_rows(m, n)
     best: AscentResult | None = None
-    for s in range(starts):
-        rng = generator(seed, s)
-        vecs = _start_vectors(rng, m, tensor.dims.n, pf)
-        prev = evaluate_real(tensor, vecs)
-        values: list[float] = []
-        converged = False
-        value = prev
+    for s0 in range(0, starts, block):
+        vecs = np.array([_start_vectors(generator(seed, s), m, n, pf) for s in range(s0, min(starts, s0 + block))])
+        # the start value, contracted in evaluate_real's order
+        prev = (_contract(moved[0], vecs[:, 1:])[:, None] @ vecs[:, 0, :, None])[:, 0, 0]
+        traces: list[list[float]] = [[] for _ in vecs]
+        finals, converged = np.empty(len(vecs)), np.zeros(len(vecs), dtype=bool)
+        rows, cur = np.arange(len(vecs)), vecs.copy()  # the starts still sweeping
         for _ in range(sweeps_max):
             for k in range(m):
-                c = partial_contraction(tensor, k, [vecs[j] for j in range(m) if j != k])
-                vecs[k], value = _dual_coords(c, pf)
-            values.append(value)
-            if value - prev <= tol * max(abs(value), abs(prev), 1e-12):
-                converged = True
+                cur[:, k], value = _dual_coords(_contract(moved[k], cur[:, others[k]]), pf)
+            for r, v in zip(rows.tolist(), value.tolist()):
+                traces[r].append(v)
+            done = value - prev <= tol * np.maximum(np.maximum(np.abs(value), np.abs(prev)), 1e-12)
+            vecs[rows], finals[rows], converged[rows] = cur, value, done
+            rows, cur, prev = rows[~done], cur[~done], value[~done]
+            if not len(rows):
                 break
-            prev = value
-        trace = AscentTrace(values=tuple(values), converged=converged, sweeps=len(values))
-        if best is None or value > best.value:
-            best = AscentResult(value=value, points=tuple(LpPoint(pf, v) for v in vecs), trace=trace)
+        for r, final in enumerate(finals.tolist()):
+            if best is None or final > best.value:
+                trace = AscentTrace(values=tuple(traces[r]), converged=bool(converged[r]), sweeps=len(traces[r]))
+                best = AscentResult(value=final, points=tuple(LpPoint(pf, v) for v in vecs[r].copy()), trace=trace)
     return best
 
 

@@ -36,6 +36,8 @@ from .tensor import (
     evaluate,
     make_assignment,
     partial_contraction,
+    _contract,
+    _stack_rows,
     _validate_signs,
 )
 
@@ -212,20 +214,26 @@ def random_restart_greedy(tensor: SignTensor, restarts: int, seed: int) -> Solve
 
     Per-restart randomness derives from (seed, restart index); the result
     is a deterministic function of (tensor, restarts, seed), and ties keep
-    the earliest restart.
+    the earliest restart. Restarts are contracted in int64 as stacks of
+    ``tensor._stack_rows`` rows; a later stack wins only if strictly greater.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     m, n = tensor.dims.m, tensor.dims.n
+    moved = np.moveaxis(tensor.view().astype(np.int64), m - 1, 0)
+    block = _stack_rows(m, n)
     best_value = -1
     best_vectors = None
-    for r in range(restarts):
-        rng = generator(seed, r)
-        partial = [sign_vector(rng, n) for _ in range(m - 1)]
-        last, value = majority_fix(tensor, partial)
-        if value > best_value:
-            best_value = value
-            best_vectors = partial + [last]
+    for r0 in range(0, restarts, block):
+        rngs = [generator(seed, r) for r in range(r0, min(restarts, r0 + block))]
+        draws = [[sign_vector(rng, n) for _ in range(m - 1)] for rng in rngs]
+        partial = np.array(draws, dtype=np.int64).reshape(len(rngs), m - 1, n)
+        c = _contract(moved, partial)
+        values = np.abs(c).sum(axis=1)
+        k = int(values.argmax())
+        if values[k] > best_value:
+            best_value = int(values[k])
+            best_vectors = np.concatenate((partial[k], _sign_of(c[k])[None]))
     return _checked_result(tensor, best_value, best_vectors, Method.RANDOM_RESTART, restarts)
 
 
@@ -238,6 +246,9 @@ def local_search(tensor: SignTensor, start: SwitchAssignment, max_sweeps: int = 
     strictly increasing, so termination is guaranteed.
     """
     m, n = tensor.dims.m, tensor.dims.n
+    typed = tensor.view().astype(np.int64)
+    moved = [np.moveaxis(typed, a, 0) for a in range(m)]
+    others = [[j for j in range(m) if j != a] for a in range(m)]
     vectors = np.array(start.vectors, dtype=np.int64)
     value = evaluate(tensor, start)
     evaluations = 1
@@ -245,8 +256,7 @@ def local_search(tensor: SignTensor, start: SwitchAssignment, max_sweeps: int = 
         best_gain = 0
         best_pos = None
         for a in range(m):
-            others = [vectors[j] for j in range(m) if j != a]
-            c = partial_contraction(tensor, a, others)
+            c = _contract(moved[a], vectors[None, others[a]])[0]
             gains = -2 * vectors[a] * c
             evaluations += n
             j = int(gains.argmax())

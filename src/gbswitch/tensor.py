@@ -195,9 +195,38 @@ def partial_contraction(tensor: SignTensor, axis: int, vectors: Sequence[np.ndar
             raise DimMismatch(f"expected vectors of length {n}, got shape {v.shape}")
     exact = all(np.issubdtype(v.dtype, np.integer) for v in vecs)
     dtype = np.int64 if exact else np.float64
-    cur = np.moveaxis(tensor.view(), axis, 0).astype(dtype)
-    for v in reversed(vecs):
-        cur = cur @ v.astype(dtype)
+    stack = np.array(vecs, dtype=dtype).reshape(1, m - 1, n)
+    return _contract(np.moveaxis(tensor.view(), axis, 0).astype(dtype), stack)[0]
+
+
+#: A contraction stack runs in blocks of ``_stack_rows`` rows.
+_STACK_BITS = 14
+
+
+def _stack_rows(m: int, n: int) -> int:
+    """Rows per block of an (S, m-1, n) contraction stack.
+
+    Every temporary of ``_contract`` then stays within
+    max(2**_STACK_BITS * n, n**(m-1)) elements, the exact kernel's rule.
+    """
+    return max(1, (n << _STACK_BITS) // n ** max(1, m - 1))
+
+
+def _contract(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Contract a typed board view with each row of an (S, m-1, n) vector stack.
+
+    ``moved`` is the (n,)*m board with the free axis first, already in the
+    stack's dtype; row s contracts the last axis with stack[s, -1] first.
+    Each step is a broadcast matmul, so every row runs the same gemv on the
+    same strided matrix as ``moved @ v``: results are bit-identical to a
+    per-row loop. Returns (S, n).
+    """
+    s, k = stack.shape[:2]
+    if not k:  # m = 1: the board is its own contraction
+        return np.repeat(moved[None], s, axis=0)
+    cur = moved
+    for j in range(k - 1, -1, -1):
+        cur = (cur @ stack[:, j].reshape(s, *(1,) * j, -1, 1))[..., 0]
     return cur
 
 

@@ -1,15 +1,34 @@
 """Shared oracles and helpers.
 
 The oracles here are deliberately dumb: direct index loops and full
-enumeration, independent of the library's vectorized paths.
+enumeration, independent of the library's vectorized paths. The loop
+oracles (ascent_runs, greedy_loop, local_search_loop, contraction_loop,
+dual_coords_vector) are the heuristic solvers' one-start, one-restart and
+one-vector loops: the stacked solvers must match them bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from gbswitch import DimSpec, SignTensor, evaluate, make_assignment, make_tensor
+from gbswitch import (
+    AscentResult,
+    AscentTrace,
+    DimSpec,
+    LpPoint,
+    SignTensor,
+    dual_update,
+    evaluate,
+    evaluate_real,
+    generator,
+    majority_fix,
+    make_assignment,
+    make_tensor,
+    partial_contraction,
+)
+from gbswitch.rng import sign_vector
 
 
 def loop_form_value(tensor: SignTensor, vectors) -> float:
@@ -111,3 +130,133 @@ def all_sign_vectors(n: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def ascent_runs(tensor: SignTensor, p, *, starts=8, sweeps_max=1000, tol=1e-10, seed=0):
+    """Each start of alternating_max run on its own, in start order (AscentResult per start).
+
+    The per-start loop: one partial_contraction and one dual_update per
+    axis per sweep, a start stopping at its own convergence sweep.
+    """
+    pf = math.inf if p == math.inf else float(p)
+    m, n = tensor.dims.m, tensor.dims.n
+    runs = []
+    for s in range(starts):
+        rng = generator(seed, s)
+        scale = 1.0 if math.isinf(pf) else n ** (-1.0 / pf)
+        vecs = [sign_vector(rng, n).astype(np.float64) * scale for _ in range(m)]
+        prev = evaluate_real(tensor, vecs)
+        values = []
+        converged = False
+        value = prev
+        for _ in range(sweeps_max):
+            for k in range(m):
+                c = partial_contraction(tensor, k, [vecs[j] for j in range(m) if j != k])
+                point, value = dual_update(c, p)
+                vecs[k] = point.coords
+            values.append(value)
+            if value - prev <= tol * max(abs(value), abs(prev), 1e-12):
+                converged = True
+                break
+            prev = value
+        trace = AscentTrace(values=tuple(values), converged=converged, sweeps=len(values))
+        runs.append(AscentResult(value=value, points=tuple(LpPoint(pf, v) for v in vecs), trace=trace))
+    return runs
+
+
+def best_run(runs):
+    """The earliest of the runs with the largest value."""
+    best = None
+    for run in runs:
+        if best is None or run.value > best.value:
+            best = run
+    return best
+
+
+def alternating_max_loop(tensor: SignTensor, p, *, starts=8, sweeps_max=1000, tol=1e-10, seed=0):
+    """alternating_max by the per-start loop."""
+    return best_run(ascent_runs(tensor, p, starts=starts, sweeps_max=sweeps_max, tol=tol, seed=seed))
+
+
+def greedy_loop(tensor: SignTensor, restarts: int, seed: int):
+    """(value, (m, n) int8 witness, index of the first best restart) of random_restart_greedy.
+
+    One majority_fix per restart, the earliest restart keeping a tie.
+    """
+    m, n = tensor.dims.m, tensor.dims.n
+    best_value, best_vectors, best_r = -1, None, None
+    for r in range(restarts):
+        rng = generator(seed, r)
+        partial = [sign_vector(rng, n) for _ in range(m - 1)]
+        last, value = majority_fix(tensor, partial)
+        if value > best_value:
+            best_value, best_vectors, best_r = value, partial + [last], r
+    return best_value, np.array(best_vectors, dtype=np.int8).reshape(m, n), best_r
+
+
+def local_search_loop(tensor: SignTensor, start, max_sweeps: int = 10_000):
+    """(value, (m, n) int8 witness, evaluations) of local_search, one partial_contraction per axis and sweep."""
+    m, n = tensor.dims.m, tensor.dims.n
+    vectors = np.array(start.vectors, dtype=np.int64)
+    value = evaluate(tensor, start)
+    evaluations = 1
+    for _ in range(max_sweeps):
+        best_gain = 0
+        best_pos = None
+        for a in range(m):
+            others = [vectors[j] for j in range(m) if j != a]
+            c = partial_contraction(tensor, a, others)
+            gains = -2 * vectors[a] * c
+            evaluations += n
+            j = int(gains.argmax())
+            if int(gains[j]) > best_gain:
+                best_gain = int(gains[j])
+                best_pos = (a, j)
+        if best_pos is None:
+            break
+        vectors[best_pos[0], best_pos[1]] *= -1
+        value += best_gain
+    return value, vectors.astype(np.int8), evaluations
+
+
+def contraction_loop(tensor: SignTensor, axis: int, vectors):
+    """partial_contraction by one matmul per vector on the axis-moved, re-cast board."""
+    vecs = [np.asarray(v) for v in vectors]
+    dtype = np.int64 if all(np.issubdtype(v.dtype, np.integer) for v in vecs) else np.float64
+    cur = np.moveaxis(tensor.view(), axis, 0).astype(dtype)
+    for v in reversed(vecs):
+        cur = cur @ v.astype(dtype)
+    return cur
+
+
+def dual_coords_vector(c: np.ndarray, pf: float):
+    """(coords, value) of dual_update for one float64 vector, by the one-vector formulas."""
+
+    def norm(v, p):
+        a = np.abs(v)
+        if not a.any():
+            return 0.0
+        if math.isinf(p):
+            return float(a.max())
+        top = float(a.max())
+        return top * float(((a / top) ** p).sum() ** (1.0 / p))
+
+    n = c.size
+    if not c.any():
+        basis = np.zeros(n)
+        basis[0] = 1.0
+        return basis, 0.0
+    if math.isinf(pf):
+        return np.where(c < 0, -1.0, 1.0), float(np.abs(c).sum())
+    if pf == 1.0:
+        j = int(np.abs(c).argmax())
+        x = np.zeros(n)
+        x[j] = 1.0 if c[j] >= 0 else -1.0
+        return x, float(abs(c[j]))
+    q = pf / (pf - 1.0)
+    value = norm(c, q)
+    x = np.where(c < 0, -1.0, 1.0) * (np.abs(c) / value) ** (q - 1.0)
+    size = norm(x, pf)
+    if size > 0:
+        x = x / size
+    return x, value

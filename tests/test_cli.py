@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import alternating_max_loop
 from gbswitch import DimSpec, evaluate, km_constant, read_tensor
+from gbswitch import experiments, lp, solvers
 from gbswitch.cli import (
     CSV_HEADER,
     parse_exponent,
@@ -275,3 +277,28 @@ def test_bad_fixed_runtime_exits_2(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "GB_FIXED_RUNTIME_MS" in capsys.readouterr().err
+
+
+def test_verify_bound_size_guard_before_any_board(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a board table was built")
+
+    monkeypatch.setattr(solvers, "sign_rows", unreachable)
+    code, out = invoke(["verify-bound", "--max-n", "5"], monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "--max-n 5" in err and "2**16 boards (--max-n 4)" in err
+
+
+def test_stacked_ascent_output_matches_per_start_loop(tmp_path, monkeypatch):
+    board_path = tmp_path / "board.json"
+    assert invoke(["gen", "--m", "3", "--n", "3", "--seed", "6", "--out", str(board_path)], monkeypatch)[0] == 0
+    commands = [
+        ["ksz", "--m", "2", "--p", "2", "--n", "2:4", "--samples", "6", "--seed", "7"],
+        ["solve", "--input", str(board_path), "--method", "alt", "--p", "3/2", "--starts", "5", "--seed", "3"],
+        ["--json", "solve", "--input", str(board_path), "--method", "alt", "--p", "3", "--seed", "3"],
+    ]
+    shipped = [invoke(argv, monkeypatch) for argv in commands]
+    monkeypatch.setattr(lp, "alternating_max", alternating_max_loop)
+    monkeypatch.setattr(experiments, "alternating_max", alternating_max_loop)
+    assert [invoke(argv, monkeypatch) for argv in commands] == shipped

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import alternating_max_loop, ascent_runs, best_run, dual_coords_vector
 from gbswitch import (
     DimSpec,
     InvalidExponent,
@@ -20,7 +21,10 @@ from gbswitch import (
     random_tensor,
     weak_l1_norm,
 )
+from gbswitch import tensor as tensor_module
 from gbswitch.lp import lp_norm
+from gbswitch.rng import sign_vector
+from gbswitch.tensor import SignTensor
 
 D22 = DimSpec(2, 2)
 CF = make_tensor(D22, [1, 1, 1, -1])
@@ -195,3 +199,64 @@ def test_weak_l1_norm():
     assert value == pytest.approx(expected, rel=1e-12)
     with pytest.raises(InvalidExponent):
         weak_l1_norm(4, 1)
+
+
+def _rank_one(m: int) -> SignTensor:
+    """outer((1, -1), ..., (1, -1)): a start whose signs agree on any other axis contracts to zero."""
+    board = np.array([1, -1])
+    for _ in range(m - 1):
+        board = np.multiply.outer(board, [1, -1])
+    return make_tensor(DimSpec(m, 2), board.reshape(-1))
+
+
+ASCENT_BOARDS = {
+    2: (random_tensor(DimSpec(2, 4), generator(41)), make_tensor(D22, [1, -1, 1, -1])),
+    3: (random_tensor(DimSpec(3, 3), generator(42)), _rank_one(3)),
+    4: (random_tensor(DimSpec(4, 2), generator(43)), _rank_one(4)),
+}
+
+
+def _assert_same_ascent(got, want):
+    assert got.value == want.value
+    assert [pt.coords.tobytes() for pt in got.points] == [pt.coords.tobytes() for pt in want.points]
+    assert got.trace == want.trace  # values (exact floats), sweeps and converged
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_alternating_max_matches_per_start_loop(m):
+    uneven = False
+    for board in ASCENT_BOARDS[m]:
+        for p in (1, Fraction(3, 2), 2, 3, math.inf):
+            for sweeps_max in (1, 16, 1000):
+                runs = ascent_runs(board, p, starts=13, sweeps_max=sweeps_max, seed=m)
+                uneven |= len({run.trace.sweeps for run in runs}) > 1
+                for starts in (1, 5, 13):
+                    got = alternating_max(board, p, starts=starts, sweeps_max=sweeps_max, seed=m)
+                    _assert_same_ascent(got, best_run(runs[:starts]))
+    assert uneven  # some stack had starts that converged at different sweeps
+
+
+def test_alternating_max_zero_contractions_match_loop():
+    board = make_tensor(D22, [1, -1, 1, -1])  # c = (y0 - y1)(1, 1) over axis 0
+    axis1 = [[sign_vector(rng, 2) for _ in range(2)][1] for rng in (generator(0, s) for s in range(5))]
+    assert any(v[0] == v[1] for v in axis1)  # some start's axis-1 signs agree: a zero contraction
+    for p in (1, 2, math.inf):
+        _assert_same_ascent(alternating_max(board, p, starts=5, seed=0), alternating_max_loop(board, p, starts=5, seed=0))
+
+
+def test_alternating_max_blocks_match_loop(monkeypatch):
+    monkeypatch.setattr(tensor_module, "_STACK_BITS", 1)  # two starts per block at m = 2
+    board = random_tensor(DimSpec(2, 6), generator(44))
+    for p in (Fraction(3, 2), 3):
+        _assert_same_ascent(alternating_max(board, p, starts=7, seed=5), alternating_max_loop(board, p, starts=7, seed=5))
+
+
+@pytest.mark.parametrize("p", (1, Fraction(4, 3), 1.5, 2, 3, 7, math.inf))
+def test_dual_update_matches_vector_formula(p):
+    rng = np.random.default_rng(45)
+    vectors = [np.zeros(4), np.array([2.0, -2.0, 1.0, 0.0]), np.array([-0.0, 3.0, -3.0, 3.0])]
+    vectors += [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5) for n in (1, 2, 7, 50) for _ in range(3)]
+    for c in vectors:
+        point, value = dual_update(c, p)
+        coords, expected = dual_coords_vector(c, math.inf if p == math.inf else float(p))
+        assert point.coords.tobytes() == coords.tobytes() and value == expected

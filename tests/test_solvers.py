@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_boards, all_sign_vectors, board_from_code, brute_force_max, lex_first_exact, lex_values
+from conftest import (
+    all_boards,
+    all_sign_vectors,
+    board_from_code,
+    brute_force_max,
+    greedy_loop,
+    lex_first_exact,
+    lex_values,
+    local_search_loop,
+)
 from gbswitch import (
     BudgetExceeded,
     DimSpec,
@@ -26,6 +35,7 @@ from gbswitch import (
     sign_rows,
 )
 from gbswitch import solvers
+from gbswitch import tensor as tensor_module
 from gbswitch.cli import _all_boards
 from gbswitch.solvers import _CHUNK_BITS
 
@@ -406,3 +416,27 @@ def test_lower_bound_formula_sampled_m3():
         for _ in range(100):
             t = random_tensor(DimSpec(3, n), rng)
             assert exact_max(t).value >= bound
+
+
+@pytest.mark.parametrize("m,n,seed", [(1, 5, 0), (2, 2, 9), (2, 6, 0), (3, 3, 6), (4, 2, 8)])
+def test_random_restart_greedy_matches_per_restart_loop(monkeypatch, m, n, seed):
+    board = random_tensor(DimSpec(m, n), generator(seed))
+    value, witness, first = greedy_loop(board, 40, seed)
+    for bits in (0, 1, 14):
+        monkeypatch.setattr(tensor_module, "_STACK_BITS", bits)
+        if m >= 2 and bits < 14:
+            assert first >= tensor_module._stack_rows(m, n)  # the first maximum lies in a later block
+        res = random_restart_greedy(board, 40, seed)
+        assert (res.value, res.witness.vectors.tobytes(), res.evaluations) == (value, witness.tobytes(), 40)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 5), (2, 9), (3, 3), (4, 2)])
+def test_local_search_matches_per_axis_loop(m, n):
+    rng = generator(m, n)
+    for i in range(6):
+        board = random_tensor(DimSpec(m, n), rng)
+        start = make_assignment(board.dims, rng.integers(0, 2, (m, n), dtype=np.int8) * 2 - 1)
+        for max_sweeps in (1, 3, 10_000):
+            value, witness, evaluations = local_search_loop(board, start, max_sweeps)
+            res = local_search(board, start, max_sweeps)
+            assert (res.value, res.witness.vectors.tobytes(), res.evaluations) == (value, witness.tobytes(), evaluations)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_form_value
+from conftest import contraction_loop, loop_form_value
+from gbswitch.tensor import _contract
 from gbswitch import (
     AxisOutOfRange,
     DimMismatch,
@@ -129,6 +130,23 @@ def test_partial_contraction_is_evaluate_factor():
         others = [vecs[j] for j in range(3) if j != axis]
         c = partial_contraction(t, axis, others)
         assert int(c @ vecs[axis]) == evaluate(t, make_assignment(dims, vecs))
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 1), (2, 3), (2, 40), (3, 5), (4, 3)])
+def test_partial_contraction_matches_matmul_loop(m, n):
+    rng = np.random.default_rng(m * 100 + n)
+    t = random_tensor(DimSpec(m, n), generator(m, n))
+    for axis in range(m):
+        kinds = (rng.standard_normal((m - 1, n)), rng.integers(-3, 4, (m - 1, n)).astype(np.int8),
+                 rng.standard_normal((m - 1, n)).astype(np.float32))
+        for vecs in kinds:
+            got, want = partial_contraction(t, axis, list(vecs)), contraction_loop(t, axis, list(vecs))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes() and got.flags.writeable
+        # a stack contracts each row exactly as partial_contraction contracts it alone
+        stack = rng.standard_normal((5, m - 1, n))
+        moved = np.moveaxis(t.view().astype(np.float64), axis, 0)
+        rows = [partial_contraction(t, axis, list(v)).astype(np.float64).tobytes() for v in stack]  # int64 at m = 1
+        assert [row.tobytes() for row in _contract(moved, stack)] == rows
 
 
 def test_partial_contraction_errors():
