@@ -48,7 +48,7 @@ from .lp import (
     g_lower_bound_formula,
     weak_l1_norm,
 )
-from .rng import generator, mix
+from .rng import generator, mix, sign_draws
 from .solvers import (
     EXACT_BUDGET_BITS,
     Method,

@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds, experiments, lp, solvers
 from . import tensor as tz
 from .errors import BudgetExceeded, DimMismatch, InvalidExponent
-from .rng import generator, sign_vector
+from .rng import mix, sign_draws
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -263,6 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _random_board(dims: tz.DimSpec, seed: int) -> tz.SignTensor:
+    """The board ``tz.random_tensor(dims, np.random.Generator(np.random.PCG64(seed)))`` draws."""
+    return tz.make_tensor(dims, sign_draws([seed], 1, dims.size)[0, 0])
+
+
 def _require_seed(args, parser) -> int:
     if args.seed is None:
         parser.error(f"--seed is required for randomized subcommand {args.command!r}")
@@ -298,8 +303,7 @@ def _solve_one(T, pc, args, parser, seed) -> ExperimentRecord:
     elif args.method == "local":
         if pc != math.inf:
             parser.error("--method local requires --p inf")
-        rng = generator(seed)
-        start = tz.make_assignment(T.dims, [sign_vector(rng, n) for _ in range(m)])
+        start = tz.make_assignment(T.dims, sign_draws([mix(seed)], m, n)[0])
         res = solvers.local_search(T, start, args.max_flips)
         value = res.value
         witness = witness_to_str(res.witness)
@@ -330,7 +334,7 @@ def _cmd_scan(args, parser) -> list[ExperimentRecord]:
     seed = _require_seed(args, parser)
     records = []
     for n in args.n:
-        T = tz.random_tensor(tz.DimSpec(args.m, n), generator(seed, n))
+        T = _random_board(tz.DimSpec(args.m, n), mix(seed, n))
         rec = _solve_one(T, args.p, args, parser, seed)
         rec.witness = None
         records.append(rec)
@@ -432,8 +436,8 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
         ))
     if args.m3_samples > 0:
         t0 = time.perf_counter()
-        boards = [tz.random_tensor(tz.DimSpec(3, 3), generator(args.seed, 3, i)) for i in range(args.m3_samples)]
-        best = int(solvers.exact_max_batch(3, 3, np.stack([b.entries for b in boards]))[0].min())
+        boards = sign_draws(mix(args.seed, 3, np.arange(args.m3_samples, dtype=np.uint64)), 1, 3 ** 3)[:, 0]
+        best = int(solvers.exact_max_batch(3, 3, boards)[0].min())
         reference = 3.0 ** 2 / bounds.km_constant(3)
         records.append(ExperimentRecord(
             command="verify-bound", m=3, n=3, p=math.inf, seed=args.seed, method="sampled-bound",
@@ -514,7 +518,7 @@ def _cmd_region(args, parser) -> list[ExperimentRecord]:
 def _cmd_gen(args, parser) -> list[ExperimentRecord]:
     seed = _require_seed(args, parser)
     t0 = time.perf_counter()
-    T = tz.random_tensor(tz.DimSpec(args.m, args.n), generator(seed))
+    T = _random_board(tz.DimSpec(args.m, args.n), mix(seed))
     tz.write_tensor(args.out, T)
     return [ExperimentRecord(
         command="gen", m=args.m, n=args.n, seed=seed, method="gen",

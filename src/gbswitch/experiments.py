@@ -9,8 +9,10 @@ predicted random-signs exponent.
 Seed discipline: the tensor for sample index i at side n is drawn from
 mix(seed, n, i); solver randomness, where needed, from mix(seed, n, i, 1).
 Sample minima therefore nest (more samples can only lower the minimum for
-the same root seed). Exact norms come from one ``exact_max_batch`` call
-per n, on the calling thread; GB_THREADS is only validated.
+the same root seed). The boards are drawn by ``rng.sign_draws`` in blocks
+of at most ``_BLOCK_ENTRIES`` entries, so memory does not grow with the
+sample count; exact norms take one ``exact_max_batch`` call per block, on
+the calling thread. GB_THREADS is only validated.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ import numpy as np
 from .bounds import INF, as_exponent, ksz_exponent
 from .errors import DegenerateInput
 from .lp import alternating_max
-from .rng import generator, mix
+from .rng import mix, sign_draws
 from .solvers import EXACT_BUDGET_BITS, exact_max_batch
-from .tensor import DimSpec, random_tensor
+from .tensor import DimSpec, make_tensor
+
+#: The boards of one block of samples hold at most this many entries.
+_BLOCK_ENTRIES = 1 << 20
 
 
 def worker_count() -> int:
@@ -86,10 +91,19 @@ def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int =
     pc = as_exponent(p)
     exact = pc == INF and (n * (m - 1) - 1) <= EXACT_BUDGET_BITS
     worker_count()  # a malformed GB_THREADS fails loudly
-    draws = (random_tensor(DimSpec(m, n), generator(seed, n, i)) for i in range(samples))
-    norms = (exact_max_batch(m, n, np.stack([t.entries for t in draws]))[0].tolist() if exact else
-             [alternating_max(t, pc, starts=starts, seed=mix(seed, n, i, 1)).value for i, t in enumerate(draws)])
-    return NormSample(m=m, n=n, p=pc, min_norm=float(min(norms)), samples=samples, seed=seed, exact=exact)
+    dims = DimSpec(m, n)
+    block = max(1, _BLOCK_ENTRIES // dims.size)
+    minima = []
+    for i0 in range(0, samples, block):
+        indices = np.arange(i0, min(samples, i0 + block), dtype=np.uint64)
+        boards = sign_draws(mix(seed, n, indices), 1, dims.size)[:, 0]
+        if exact:
+            minima.append(int(exact_max_batch(m, n, boards)[0].min()))
+        else:
+            minima.append(min(
+                alternating_max(make_tensor(dims, board), pc, starts=starts, seed=mix(seed, n, i, 1)).value
+                for i, board in zip(indices.tolist(), boards)))
+    return NormSample(m=m, n=n, p=pc, min_norm=float(min(minima)), samples=samples, seed=seed, exact=exact)
 
 
 def fit_exponent(points: Iterable[tuple[float, float]]) -> FitResult:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import INF, as_exponent, km_constant
 from .errors import InvalidExponent
-from .rng import generator, sign_vector
+from .rng import mix, sign_draws
 from .tensor import SignTensor, _contract, _stack_rows
 
 _UNIT_TOL = 1e-12
@@ -121,13 +121,6 @@ def dual_update(c, p) -> tuple[LpPoint, float]:
     return LpPoint(pf, coords[0]), float(values[0])
 
 
-def _start_vectors(rng, m: int, n: int, pf: float) -> list[np.ndarray]:
-    # random sign vectors pushed onto the lp sphere; for p = inf they are
-    # already vertices of the ball
-    scale = 1.0 if math.isinf(pf) else n ** (-1.0 / pf)
-    return [sign_vector(rng, n).astype(np.float64) * scale for _ in range(m)]
-
-
 def alternating_max(
     tensor: SignTensor,
     p,
@@ -143,8 +136,9 @@ def alternating_max(
     partial contraction over axis k, for k = 0..m-1 in order; a start
     stops when the per-sweep improvement drops below ``tol`` relative to
     the current value or after ``sweeps_max`` sweeps (reported via the
-    trace; running out of sweeps is not an error). Per-start randomness
-    derives from (seed, start index); ties keep the earliest start.
+    trace; running out of sweeps is not an error). Start s draws its m
+    sign vectors from the stream of ``generator(seed, s)``; ties keep the
+    earliest start.
 
     The starts run as one (S, m, n) stack over one float64 copy of the
     board, in blocks that keep every contraction temporary within
@@ -164,9 +158,13 @@ def alternating_max(
     moved = [np.moveaxis(typed, k, 0) for k in range(m)]
     others = [[j for j in range(m) if j != k] for k in range(m)]
     block = _stack_rows(m, n)
+    # random sign vectors pushed onto the lp sphere; for p = inf they are
+    # already vertices of the ball
+    scale = 1.0 if math.isinf(pf) else n ** (-1.0 / pf)
     best: AscentResult | None = None
     for s0 in range(0, starts, block):
-        vecs = np.array([_start_vectors(generator(seed, s), m, n, pf) for s in range(s0, min(starts, s0 + block))])
+        seeds = mix(seed, np.arange(s0, min(starts, s0 + block), dtype=np.uint64))
+        vecs = sign_draws(seeds, m, n).astype(np.float64) * scale
         # the start value, contracted in evaluate_real's order
         prev = (_contract(moved[0], vecs[:, 1:])[:, None] @ vecs[:, 0, :, None])[:, 0, 0]
         traces: list[list[float]] = [[] for _ in vecs]

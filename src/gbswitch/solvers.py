@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, LengthMismatch, NonUnimodularEntry
-from .rng import generator, sign_vector
+from .rng import mix, sign_draws
 from .tensor import (
     DimSpec,
     SignTensor,
@@ -212,10 +212,12 @@ def majority_fix(tensor: SignTensor, partial) -> tuple[np.ndarray, int]:
 def random_restart_greedy(tensor: SignTensor, restarts: int, seed: int) -> SolveResult:
     """Best of ``restarts`` random partial assignments closed by majority_fix.
 
-    Per-restart randomness derives from (seed, restart index); the result
-    is a deterministic function of (tensor, restarts, seed), and ties keep
-    the earliest restart. Restarts are contracted in int64 as stacks of
-    ``tensor._stack_rows`` rows; a later stack wins only if strictly greater.
+    Restart r draws its m-1 sign vectors from the stream of
+    ``generator(seed, r)``; the result is a deterministic function of
+    (tensor, restarts, seed), and ties keep the earliest restart. Restarts
+    run in stacks of ``tensor._stack_rows`` rows: one ``rng.sign_draws``
+    call seeds and draws a stack, which is contracted in int64; a later
+    stack wins only if strictly greater.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -225,9 +227,8 @@ def random_restart_greedy(tensor: SignTensor, restarts: int, seed: int) -> Solve
     best_value = -1
     best_vectors = None
     for r0 in range(0, restarts, block):
-        rngs = [generator(seed, r) for r in range(r0, min(restarts, r0 + block))]
-        draws = [[sign_vector(rng, n) for _ in range(m - 1)] for rng in rngs]
-        partial = np.array(draws, dtype=np.int64).reshape(len(rngs), m - 1, n)
+        seeds = mix(seed, np.arange(r0, min(restarts, r0 + block), dtype=np.uint64))
+        partial = sign_draws(seeds, m - 1, n).astype(np.int64)
         c = _contract(moved, partial)
         values = np.abs(c).sum(axis=1)
         k = int(values.argmax())

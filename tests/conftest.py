@@ -5,6 +5,7 @@ enumeration, independent of the library's vectorized paths. The loop
 oracles (ascent_runs, greedy_loop, local_search_loop, contraction_loop,
 dual_coords_vector) are the heuristic solvers' one-start, one-restart and
 one-vector loops: the stacked solvers must match them bit for bit.
+sign_draws_loop is ``rng.sign_draws`` by one numpy-seeded PCG64 per seed.
 """
 
 import itertools
@@ -29,6 +30,16 @@ from gbswitch import (
     partial_contraction,
 )
 from gbswitch.rng import sign_vector
+
+
+def sign_draws_loop(seeds, count: int, n: int) -> np.ndarray:
+    """(B, count, n) int8: ``count`` sign_vector calls on np.random.Generator(np.random.PCG64(seed)) per seed."""
+    out = np.empty((len(seeds), count, n), dtype=np.int8)
+    for b, seed in enumerate(np.asarray(seeds, dtype=np.uint64).tolist()):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for k in range(count):
+            out[b, k] = sign_vector(rng, n)
+    return out
 
 
 def loop_form_value(tensor: SignTensor, vectors) -> float:

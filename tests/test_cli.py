@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import alternating_max_loop
+from conftest import alternating_max_loop, sign_draws_loop
 from gbswitch import DimSpec, evaluate, km_constant, read_tensor
-from gbswitch import experiments, lp, solvers
+from gbswitch import cli, experiments, lp, rng, solvers
 from gbswitch.cli import (
     CSV_HEADER,
     parse_exponent,
@@ -302,3 +302,53 @@ def test_stacked_ascent_output_matches_per_start_loop(tmp_path, monkeypatch):
     monkeypatch.setattr(lp, "alternating_max", alternating_max_loop)
     monkeypatch.setattr(experiments, "alternating_max", alternating_max_loop)
     assert [invoke(argv, monkeypatch) for argv in commands] == shipped
+
+
+def test_draw_size_guard_before_any_array(tmp_path, monkeypatch, capsys):
+    class Unreachable:
+        def __getattr__(self, name):
+            raise AssertionError(f"sign_draws reached np.{name}")
+
+    monkeypatch.setattr(rng, "np", Unreachable())
+    big = tmp_path / "big.json"
+    for argv in (["gen", "--m", "2", "--n", "100000", "--seed", "1", "--out", str(big)],
+                 ["scan", "--m", "2", "--n", "100000", "--method", "greedy", "--seed", "1"]):
+        code, out = invoke(argv, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "1 x 1 x 10000000000 = 10000000000 signs exceeds the 2**27 entry limit" in err
+    assert not big.exists()
+
+
+def test_stacked_draws_output_matches_per_seed_loop(tmp_path, monkeypatch):
+    commands = [
+        ["verify-bound", "--max-n", "3", "--m3-samples", "40", "--seed", "7"],
+        ["ksz", "--m", "2", "--n", "3:5", "--samples", "30", "--seed", "7"],
+        ["ksz", "--m", "3", "--n", "2:3", "--samples", "30", "--seed", "7"],
+        ["ksz", "--m", "2", "--p", "2", "--n", "3:4", "--samples", "4", "--seed", "7"],
+        ["ksz", "--m", "3", "--p", "2", "--n", "2:3", "--samples", "3", "--seed", "7"],
+        ["scan", "--m", "2", "--n", "3:6", "--method", "greedy", "--seed", "5"],
+        ["scan", "--m", "3", "--n", "2:4", "--method", "local", "--seed", "5"],
+        ["scan", "--m", "2", "--n", "3:5", "--method", "alt", "--p", "3", "--seed", "5"],
+        ["gen", "--m", "3", "--n", "4", "--seed", "-6", "--out", str(tmp_path / "board.json")],
+    ]
+    commands += [["--json", *argv] for argv in commands]
+
+    def outputs():
+        results = []
+        for argv in commands:
+            results.append(invoke(argv, monkeypatch))
+            if argv[-2] == "--out":
+                results.append((tmp_path / "board.json").read_bytes())
+        return results
+
+    shipped = outputs()
+    calls = {}
+    for module in (cli, experiments, lp, solvers):
+        def loop(seeds, count, n, name=module.__name__):
+            calls[name] = calls.get(name, 0) + 1
+            return sign_draws_loop(seeds, count, n)
+
+        monkeypatch.setattr(module, "sign_draws", loop)
+    assert outputs() == shipped
+    assert sorted(calls) == ["gbswitch.cli", "gbswitch.experiments", "gbswitch.lp", "gbswitch.solvers"]

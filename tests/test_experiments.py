@@ -6,9 +6,13 @@ import pytest
 from gbswitch import (
     DegenerateInput,
     DimSpec,
+    alternating_max,
+    exact_max,
+    experiments,
     fit_exponent,
     g_lower_bound_formula,
     generator,
+    mix,
     random_tensor,
     sample_min_norm,
     sharpness_experiment,
@@ -29,6 +33,31 @@ def test_sample_min_norm_single_all_ones_draw():
     assert t.entries.tolist() == [1, 1, 1, 1]
     sample = sample_min_norm(2, 2, math.inf, 1, 33)
     assert sample.min_norm == 4.0
+
+
+@pytest.mark.parametrize("m, n, p", [(2, 3, math.inf), (3, 2, math.inf), (2, 3, 2), (3, 2, 3)])
+def test_sample_min_norm_blocks_match_per_sample_loop(monkeypatch, m, n, p):
+    # boards drawn two per block give the minimum of the per-sample solves
+    # on generator(seed, n, i) draws, with solver seed mix(seed, n, i, 1)
+    samples, seed, dims = 7, 11, DimSpec(m, n)
+    boards = [random_tensor(dims, generator(seed, n, i)) for i in range(samples)]
+    if p == math.inf:
+        expected = min(exact_max(t).value for t in boards)
+    else:
+        expected = min(alternating_max(t, p, seed=mix(seed, n, i, 1)).value for i, t in enumerate(boards))
+    stacks = []
+    draw = experiments.sign_draws
+
+    def recording(seeds, count, size):
+        stacks.append(len(seeds))
+        return draw(seeds, count, size)
+
+    monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * dims.size + 1)
+    monkeypatch.setattr(experiments, "sign_draws", recording)
+    sample = sample_min_norm(m, n, p, samples, seed)
+    assert sample.min_norm == float(expected)
+    assert sample.exact == (p == math.inf)
+    assert stacks == [2, 2, 2, 1]
 
 
 def test_sample_min_norm_deterministic():

@@ -1,0 +1,88 @@
+"""rng: seed folding and the stacked sign draws, against numpy's per-seed streams."""
+
+import hashlib
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import sign_draws_loop
+from gbswitch import BudgetExceeded, DimSpec, generator, mix, random_tensor, rng, sign_draws
+from gbswitch.rng import sign_vector
+
+#: Both ends of each 32-bit word; 0, 1, 5, 2**31 and 2**32-1 have a zero high word.
+EDGE_SEEDS = [0, 1, 5, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+MIX_SEEDS = [mix(7, 3, i) for i in range(500)]
+
+#: sha256 of the (64, n*n) int8 stack of random_tensor(DimSpec(2, n), generator(7, n, i)).entries
+#: for i < 64, drawn one generator at a time (numpy 2.4.6). A numpy release that changes
+#: SeedSequence or PCG64 seeding changes these bytes.
+STREAM_PIN = {
+    3: "24e2db8c9565e754a8b55c264f5751fb74031cb8661eb91f1b492e1a293a50ce",
+    4: "8e55881ca46c95ab3561a872a56afcc996a824c779fc1554b725b87d01c803c2",
+    5: "3960f5c80792bf0d8dc4fe44b51230a2bc53c2e2dda676f10ae46ec230f741a9",
+    6: "a2cce8a5cd7b73b3ef40446bc9cf3d3bc1056d759526d2ebae07eb1de349da22",
+    7: "dda70fdaf53d7d6d7859ebe6b9d17246b936365b5f9fc83410b8e376e8844819",
+}
+
+
+def test_mix_on_uint64_arrays_matches_scalar_mix():
+    idx = np.arange(1000, dtype=np.uint64)
+    edges = np.array(EDGE_SEEDS, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parts in [(), (7,), (7, 5), (-3, 2**64 - 1, 4)]:
+            folded = mix(*parts, idx)
+            assert folded.dtype == np.uint64
+            assert folded.tolist() == [mix(*parts, i) for i in range(1000)]
+        assert mix(idx, 1).tolist() == [mix(i, 1) for i in range(1000)]
+        assert mix(9, edges).tolist() == [mix(9, s) for s in EDGE_SEEDS]
+
+
+# n covers every residue mod 4 (and mod 8): the int8 draw packs four signs
+# into each 32-bit output and PCG64 carries the spare half of a 64-bit
+# output into the next call of the same stream.
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 13, 27])
+def test_sign_draws_matches_per_seed_loop(n, count):
+    seeds = EDGE_SEEDS + MIX_SEEDS
+    got = sign_draws(seeds, count, n)
+    assert got.dtype == np.int8 and got.shape == (len(seeds), count, n)
+    assert np.array_equal(got, sign_draws_loop(seeds, count, n))
+    assert np.array_equal(sign_draws(np.array(seeds, dtype=np.uint64), count, n), got)
+
+
+def test_sign_draws_is_generator_and_random_tensor():
+    for parts in [(0,), (7, 3), (-2, 5, 11), (2**70, 1)]:
+        stream = generator(*parts)
+        vectors = [sign_vector(stream, 6) for _ in range(3)]
+        assert np.array_equal(sign_draws([mix(*parts)], 3, 6)[0], vectors)
+        dims = DimSpec(3, 4)
+        board = random_tensor(dims, generator(*parts))
+        assert np.array_equal(sign_draws([mix(*parts)], 1, dims.size)[0, 0], board.entries)
+
+
+def test_sign_draws_empty_shapes():
+    assert sign_draws([], 3, 4).shape == (0, 3, 4)
+    assert sign_draws([1, 2], 0, 4).shape == (2, 0, 4)
+    assert sign_draws([1, 2], 3, 0).shape == (2, 3, 0)
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_PIN))
+def test_sign_draws_stream_pin(n):
+    draws = sign_draws(mix(7, n, np.arange(64, dtype=np.uint64)), 1, n * n)
+    assert draws.shape == (64, 1, n * n)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == STREAM_PIN[n]
+
+
+class _Unreachable:
+    def __getattr__(self, name):
+        raise AssertionError(f"sign_draws reached np.{name}")
+
+
+def test_sign_draws_entry_limit(monkeypatch):
+    monkeypatch.setattr(rng, "MAX_DRAW_ENTRIES", 24)
+    assert np.array_equal(sign_draws([1, 2], 3, 4), sign_draws_loop([1, 2], 3, 4))
+    monkeypatch.setattr(rng, "np", _Unreachable())
+    with pytest.raises(BudgetExceeded, match=r"2 x 3 x 5 = 30 signs exceeds"):
+        sign_draws([1, 2], 3, 5)
