@@ -190,6 +190,19 @@ def parse_exponent_list(text: str) -> list:
     return [parse_exponent(x) for x in text.split(",")]
 
 
+def _add_solver_options(sp: argparse.ArgumentParser, default_method: str) -> None:
+    """The options ``solve`` and ``scan`` share, in the order their usage lists them."""
+    sp.add_argument("--p", type=parse_exponent, default=math.inf)
+    sp.add_argument("--method", choices=tuple(_SOLVERS), default=default_method)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--restarts", type=int, default=64)
+    sp.add_argument("--starts", type=int, default=8)
+    sp.add_argument("--sweeps-max", type=int, default=1000)
+    sp.add_argument("--max-flips", type=int, default=10_000)
+    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--force", action="store_true", help="override the exact enumeration budget")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbswitch",
@@ -201,28 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve one tensor instance from a JSON file")
     sp.add_argument("--input", required=True, help="tensor JSON file")
-    sp.add_argument("--p", type=parse_exponent, default=math.inf)
-    sp.add_argument("--method", choices=("exact", "greedy", "local", "alt"), default="exact")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--restarts", type=int, default=64)
-    sp.add_argument("--starts", type=int, default=8)
-    sp.add_argument("--sweeps-max", type=int, default=1000)
-    sp.add_argument("--max-flips", type=int, default=10_000)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--force", action="store_true", help="override the exact enumeration budget")
+    _add_solver_options(sp, default_method="exact")
 
     sp = sub.add_parser("scan", help="value versus n for one solver on random boards")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=parse_n_values, required=True)
-    sp.add_argument("--p", type=parse_exponent, default=math.inf)
-    sp.add_argument("--method", choices=("exact", "greedy", "local", "alt"), default="greedy")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--restarts", type=int, default=64)
-    sp.add_argument("--starts", type=int, default=8)
-    sp.add_argument("--sweeps-max", type=int, default=1000)
-    sp.add_argument("--max-flips", type=int, default=10_000)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--force", action="store_true")
+    _add_solver_options(sp, default_method="greedy")
 
     sp = sub.add_parser("ksz", help="random-tensor minimum-norm sharpness experiment")
     sp.add_argument("--m", type=int, required=True)
@@ -284,42 +281,34 @@ def _reference_bound(m: int, n: int, p) -> Optional[float]:
         return None
 
 
-def _solve_one(T, pc, args, parser, seed) -> ExperimentRecord:
+#: Solver per --method. All but alt maximise over sign vectors, so need p = inf.
+_SOLVERS = {
+    "exact": lambda T, args, seed: solvers.exact_max(T, allow_large=args.force),
+    "greedy": lambda T, args, seed: solvers.random_restart_greedy(T, args.restarts, seed),
+    "local": lambda T, args, seed: solvers.local_search(
+        T, tz.make_assignment(T.dims, sign_draws([mix(seed)], T.dims.m, T.dims.n)[0]), args.max_flips
+    ),
+    "alt": lambda T, args, seed: lp.alternating_max(
+        T, args.p, starts=args.starts, sweeps_max=args.sweeps_max, tol=args.tol, seed=seed
+    ),
+}
+
+
+def _solve_one(T, args, parser, seed) -> ExperimentRecord:
+    if args.method != "alt" and args.p != math.inf:
+        parser.error(f"--method {args.method} requires --p inf")
     m, n = T.dims.m, T.dims.n
     t0 = time.perf_counter()
-    witness = None
-    if args.method == "exact":
-        if pc != math.inf:
-            parser.error("--method exact requires --p inf")
-        res = solvers.exact_max(T, allow_large=args.force)
-        value = res.value
-        witness = witness_to_str(res.witness)
-    elif args.method == "greedy":
-        if pc != math.inf:
-            parser.error("--method greedy requires --p inf")
-        res = solvers.random_restart_greedy(T, args.restarts, seed)
-        value = res.value
-        witness = witness_to_str(res.witness)
-    elif args.method == "local":
-        if pc != math.inf:
-            parser.error("--method local requires --p inf")
-        start = tz.make_assignment(T.dims, sign_draws([mix(seed)], m, n)[0])
-        res = solvers.local_search(T, start, args.max_flips)
-        value = res.value
-        witness = witness_to_str(res.witness)
-    else:
-        res = lp.alternating_max(
-            T, pc, starts=args.starts, sweeps_max=args.sweeps_max, tol=args.tol, seed=seed
-        )
-        value = res.value
-    reference = _reference_bound(m, n, pc)
+    res = _SOLVERS[args.method](T, args, seed)
+    witness = None if args.method == "alt" else witness_to_str(res.witness)
+    reference = _reference_bound(m, n, args.p)
     if args.method == "exact" and reference is not None:
-        verdict = PASS if value >= reference else FAIL
+        verdict = PASS if res.value >= reference else FAIL
     else:
         verdict = INFO
     return ExperimentRecord(
-        command=args.command, m=m, n=n, p=pc, seed=seed, method=args.method,
-        value=value, reference=reference, verdict=verdict,
+        command=args.command, m=m, n=n, p=args.p, seed=seed, method=args.method,
+        value=res.value, reference=reference, verdict=verdict,
         runtime_ms=_runtime_ms(time.perf_counter() - t0), witness=witness,
     )
 
@@ -327,7 +316,7 @@ def _solve_one(T, pc, args, parser, seed) -> ExperimentRecord:
 def _cmd_solve(args, parser) -> list[ExperimentRecord]:
     seed = None if args.method == "exact" else _require_seed(args, parser)
     T = tz.read_tensor(args.input)
-    return [_solve_one(T, args.p, args, parser, seed)]
+    return [_solve_one(T, args, parser, seed)]
 
 
 def _cmd_scan(args, parser) -> list[ExperimentRecord]:
@@ -335,7 +324,7 @@ def _cmd_scan(args, parser) -> list[ExperimentRecord]:
     records = []
     for n in args.n:
         T = _random_board(tz.DimSpec(args.m, n), mix(seed, n))
-        rec = _solve_one(T, args.p, args, parser, seed)
+        rec = _solve_one(T, args, parser, seed)
         rec.witness = None
         records.append(rec)
     return records

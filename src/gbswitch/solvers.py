@@ -50,7 +50,6 @@ _CHUNK_BITS = 14
 
 class Method(enum.Enum):
     EXACT = "exact"
-    MAJORITY = "majority"
     LOCAL_SEARCH = "local-search"
     RANDOM_RESTART = "random-restart"
 

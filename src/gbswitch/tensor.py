@@ -93,9 +93,6 @@ class SwitchAssignment:
     dims: DimSpec
     vectors: np.ndarray
 
-    def vector(self, axis: int) -> np.ndarray:
-        return self.vectors[axis]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SwitchAssignment):
             return NotImplemented

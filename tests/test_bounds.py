@@ -20,12 +20,12 @@ from gbswitch import (
     ksz_exponent,
     unimodular_sharp_exponent,
 )
-from gbswitch.special import EULER_GAMMA, _digamma_series, digamma, gamma, harmonic, log_gamma
+from gbswitch.bounds import EULER_GAMMA, log_gamma
 
 INF = math.inf
 
 
-# --- special functions -------------------------------------------------------
+# --- log-Gamma ---------------------------------------------------------------
 
 
 def test_log_gamma_against_stdlib():
@@ -34,24 +34,11 @@ def test_log_gamma_against_stdlib():
         assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
 
 
-def test_gamma_key_values():
-    assert gamma(1.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert gamma(2.0) == pytest.approx(1.0, rel=1e-13)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+def test_log_gamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-1.0)
-
-
-def test_digamma_series_matches_harmonic_identity():
-    # psi(m+1) + gamma = H_m; the series path must agree with compensated sums
-    for m in [1, 2, 3, 5, 10, 50, 100, 1000, 10_000]:
-        h = harmonic(m)
-        assert _digamma_series(float(m + 1)) + EULER_GAMMA == pytest.approx(h, rel=1e-12, abs=1e-12)
-    assert digamma(6) == pytest.approx(harmonic(5) - EULER_GAMMA, abs=1e-15)
-    assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), rel=1e-12)
 
 
 # --- summability exponents ---------------------------------------------------
@@ -224,6 +211,15 @@ def test_bh_constant_equals_f_product():
 def test_bh_constant_strictly_increasing():
     values = [bh_asymptotic_constant(m) for m in range(2, 120)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_bh_constant_matches_lgamma_oracle():
+    # an oracle on math.lgamma, independent of the Lanczos log_gamma
+    terms = [math.lgamma(1.5) - math.lgamma((3 * k - 2) / (2 * k)) for k in range(2, 2001)]
+    for m in range(1, 2001):
+        h = math.fsum(1.0 / k for k in range(1, m + 1))
+        oracle = math.exp(math.fsum(terms[: m - 1]) + (h - 1.0) * math.log(2.0))
+        assert bh_asymptotic_constant(m) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_km_constant():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -352,3 +353,26 @@ def test_stacked_draws_output_matches_per_seed_loop(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "sign_draws", loop)
     assert outputs() == shipped
     assert sorted(calls) == ["gbswitch.cli", "gbswitch.experiments", "gbswitch.lp", "gbswitch.solvers"]
+
+
+#: sha256 of stdout with GB_FIXED_RUNTIME_MS=0; any change to a printed byte shows here.
+_PINNED_STDOUT = {
+    ("constants", "--m", "2,5,10,100,1000"):
+        "4f7ab5ecb293e2105e1cedc6c6eb2d9f3c4dbe21cdc23e92eda6a941f7c12d07",
+    ("region", "--m", "2", "--boundary", "--grid-points", "80"):
+        "8d8197f61a83d14bae9d550a3d003a5cfd17ef4a0a6da661191c8c011948565e",
+    ("verify-extremal",):
+        "fcc9338567a2e9ea38b46e9ff3a66a4c11ff0842d1e675a6b3a9ae3d4513e5da",
+    ("verify-bound", "--max-n", "4", "--m3-samples", "2000", "--seed", "7"):
+        "a5b1947054533b9a680f728a7f795ded1599191852b0eab42e37c37ce8a9b8bb",
+    ("--json", "solve", "--method", "exact", "--input", "{board}"):
+        "7c8eba7de9e4d9780525f178fac7945c90ad53415827fbae771f36042c66e660",
+}
+
+
+def test_pinned_output_bytes(tmp_path, monkeypatch):
+    board = str(tmp_path / "board.json")
+    assert invoke(["gen", "--m", "3", "--n", "4", "--seed", "7", "--out", board], monkeypatch)[0] == 0
+    for argv, digest in _PINNED_STDOUT.items():
+        code, out = invoke([arg.format(board=board) for arg in argv], monkeypatch)
+        assert (code, hashlib.sha256(out.encode("ascii")).hexdigest()) == (0, digest), argv
