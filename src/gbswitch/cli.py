@@ -208,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gbswitch",
         description="Switching-game solvers, lp ascent, exponent formulas, and sharpness experiments.",
     )
-    parser.add_argument("--output", help="write records to this file instead of stdout")
-    parser.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve one tensor instance from a JSON file")
@@ -257,6 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out", required=True)
 
+    for sp in (parser, *sub.choices.values()):  # SUPPRESS keeps a value given before the subcommand
+        default = {} if sp is parser else {"default": argparse.SUPPRESS}
+        sp.add_argument("--output", help="write records to this file instead of stdout", **default)
+        sp.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV", **default)
     return parser
 
 

@@ -6,17 +6,17 @@ on worker count or scheduling order.
 
 A seed's stream is numpy's ``np.random.Generator(np.random.PCG64(seed))``;
 ``generator`` and ``sign_vector`` draw it one seed at a time and are the
-reference. ``sign_draws`` draws the same bytes for a whole stack of seeds.
-It replicates only numpy's seeding, which is integer arithmetic fixed by
-numpy's sources: the ``SeedSequence`` pool hash of the seed's two 32-bit
-words followed by ``generate_state(4, uint64)`` (numpy uint32 arithmetic
-on every seed at once), then PCG64's ``srandom``, two steps of the 128-bit
-LCG (O'Neill 2014; Python ints, one seed at a time). numpy still produces
-every output: each seeded state is assigned to one reused ``PCG64`` and
-``Generator.integers`` draws the bits.
+reference. ``sign_draws`` computes the same bytes for a stack of seeds in
+integer arithmetic fixed by numpy's sources, and draws nothing from numpy:
+the ``SeedSequence`` pool hash and ``generate_state(4, uint64)`` in uint32,
+PCG64's ``srandom`` (two 128-bit LCG steps), then every output at once by
+the LCG's closed-form jump state_t = A_t state_0 + C_t inc mod 2**128
+(O'Neill 2014) and PCG64's XSL-RR output, in uint64 from 32-bit limbs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -38,6 +38,8 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: Most entries one ``sign_draws`` stack may hold: 2**27 int8 entries take
 #: 1 GiB once a solver casts them to int64 or float64.
 MAX_DRAW_ENTRIES = 1 << 27
+#: ``sign_draws`` computes at most this many 64-bit outputs (seeds x steps) per pass.
+_DRAW_CHUNK = 1 << 14
 
 
 def _splitmix64(x: int) -> int:
@@ -78,8 +80,8 @@ def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
     return value ^ (value >> np.uint32(16)), const
 
 
-def _pcg64_words(seeds: np.ndarray) -> list[list[int]]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each uint64 seed, as Python ints."""
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each uint64 seed, as (B, 4) uint64."""
     # a seed below 2**32 has one entropy word, and the pool hashes the
     # missing second word as 0, which is what its zero high word gives
     words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
@@ -102,7 +104,33 @@ def _pcg64_words(seeds: np.ndarray) -> list[list[int]]:
         value = value * np.uint32(const)
         state[:, i] = value ^ (value >> np.uint32(16))
     # word k of the uint64 state is 32-bit words 2k (low) and 2k+1 (high)
-    return state.astype("<u4").view("<u8").tolist()
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(a * b) mod 2**128 of uint64 (high, low) halves; a_lo * b_lo in full from 32-bit limbs."""
+    a1, a0, b1, b0 = a_lo >> 32, a_lo & _MASK32, b_lo >> 32, b_lo & _MASK32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(steps: int) -> np.ndarray:
+    """Read-only (4, steps) uint64 rows A_hi, A_lo, C_hi, C_lo of the t-step LCG maps x -> A_t x + C_t inc."""
+    a, c, table = 1, 0, []
+    for _ in range(steps):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        table.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    table = np.array(table, dtype=np.uint64).T.copy()
+    table.setflags(write=False)
+    return table
 
 
 def sign_draws(seeds, count: int, n: int) -> np.ndarray:
@@ -119,20 +147,27 @@ def sign_draws(seeds, count: int, n: int) -> np.ndarray:
     if entries > MAX_DRAW_ENTRIES:
         raise BudgetExceeded(f"a draw of {len(seeds)} x {count} x {n} = {entries} signs exceeds "
                              f"the 2**{MAX_DRAW_ENTRIES.bit_length() - 1} entry limit")
-    words = _pcg64_words(np.asarray(seeds, dtype=np.uint64).reshape(-1))
-    out = np.empty((len(words), count, n), dtype=np.int8)
-    bitgen = np.random.PCG64(0)
-    draw = np.random.Generator(bitgen).integers
-    for b, (state_hi, state_lo, seq_hi, seq_lo) in enumerate(words):
-        # srandom(initstate, initseq): one LCG step from state 0 gives inc,
-        # then initstate is added and the LCG steps once more
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-        # a fresh PCG64 holds no spare 32-bit half; the previous seed's must not carry over
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        for k in range(count):
-            out[b, k] = draw(0, 2, size=n, dtype=np.int8)
-    out *= 2
-    out -= 1
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    # integers(0, 2, size=n, dtype=int8) takes ceil(n/4) fresh 32-bit words per call, the low then
+    # the high half of each 64-bit output (a spare high half goes to the next call); sign i is
+    # bit 7 of byte i of the little-endian words, as Lemire's rule at range 2 never rejects.
+    width = -(-n // 4) * 4
+    steps = -(-count * width // 8)
+    out = np.empty((len(seeds), count, n), dtype=np.int8)
+    block = max(1, _DRAW_CHUNK // max(1, steps))
+    a_hi, a_lo, c_hi, c_lo = _jumps(min(_DRAW_CHUNK, 1 << max(0, steps - 1).bit_length()))
+    for b0 in range(0, len(seeds), block):
+        words = _pcg64_words(seeds[b0:b0 + block])[:, :, None]
+        # srandom(initstate, initseq): inc = 2 initseq + 1, state = (inc + initstate) M + inc
+        inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
+        s_hi, s_lo = _add128(*_mul128(*_add128(*inc, words[:, 0], words[:, 1]), a_hi[:1], a_lo[:1]), *inc)
+        signs = np.empty((len(words), steps * 8), dtype=np.int8)
+        for t0 in range(0, steps, _DRAW_CHUNK):
+            t = min(_DRAW_CHUNK, steps - t0)
+            hi, lo = _add128(*_mul128(a_hi[:t], a_lo[:t], s_hi, s_lo), *_mul128(c_hi[:t], c_lo[:t], *inc))
+            s_hi, s_lo = hi[:, -1:], lo[:, -1:]
+            rot, word = hi >> 58, hi ^ lo  # XSL-RR: xor-fold, then rotate right by the top 6 bits
+            word = word >> rot | word << ((64 - rot) & 63)
+            signs[:, 8 * t0:8 * (t0 + t)] = word.astype("<u8", copy=False).view(np.uint8) >> 7
+        out[b0:b0 + block] = signs[:, :count * width].reshape(len(signs), count, width)[:, :, :n] * 2 - 1
     return out

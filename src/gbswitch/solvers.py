@@ -6,14 +6,14 @@ changes the achievable value, so half the vertex set is redundant) and
 closes the last axis analytically: for partial sums c, the optimal last
 vector is sign(c) with value sum|c|. It meets in the middle (Horowitz and
 Sahni): each prefix (signs of axes 0..m-3) contracts the board to an n x n
-matrix M, and axis m-2 splits into halves whose partial sums
-H = S_hi @ M_hi and L = S_lo @ M_lo are tabulated once, so c = H[hi] + L[lo]
-costs about n operations per assignment. Boards are the leading axis: a
-block is 2**max(0, _CHUNK_BITS + 1 - n(m-1)) boards x prefixes x high
-halves x every low half, within max(2**_CHUNK_BITS * n, n**(m-1)) elements.
-Index order (prefix, high, low), most significant bit first, is
-lexicographic witness order (-1 before +1); a board moves to a later
-block's first argmax only if strictly greater, so ties keep the smallest.
+matrix M, and axis m-2 splits into halves whose partial sums H = S_hi @ M_hi
+and L = S_lo @ M_lo are tabulated once by doubling trees, so c = H[hi] + L[lo]
+costs about n operations per assignment. A block (boards x prefixes x high
+halves x every low half, within max(2**_CHUNK_BITS * n, n**(m-1)) elements)
+is laid out board-minor, (prefix, high, n, low, board). Index order (prefix,
+high, low), most significant bit first, is lexicographic witness order (-1
+before +1); a board moves to a later block's first argmax only if strictly
+greater, so ties keep the smallest.
 
 Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 (a zero partial sum contributes nothing), but witnesses stay reproducible.
@@ -22,7 +22,6 @@ Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,43 +79,42 @@ def sign_rows(nbits: int, start: int = 0, stop: int | None = None) -> np.ndarray
     """Rows start..stop-1 of the 2**nbits sign vectors (int8) in lexicographic order.
 
     Row k spells k in binary, most significant bit first, 0 as -1 and 1 as +1.
-    Tables of at most 2**_CHUNK_BITS rows are cached read-only.
     """
-    if nbits <= _CHUNK_BITS:
-        return _sign_table(nbits)[start:stop]
     return _signs_at(np.arange(start, 1 << nbits if stop is None else stop, dtype=np.int64), nbits)
 
 
 def _signs_at(idx: np.ndarray, nbits: int) -> np.ndarray:
     """The sign rows (int8) of the lexicographic indices ``idx``, as in ``sign_rows``."""
-    return ((idx[:, None] >> np.arange(nbits - 1, -1, -1)) & 1).astype(np.int8) * 2 - 1
+    bits = np.unpackbits(idx.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - nbits:]
+    return bits.view(np.int8) * 2 - 1
 
 
-@functools.lru_cache(maxsize=_CHUNK_BITS + 1)
-def _sign_table(nbits: int) -> np.ndarray:
-    table = _signs_at(np.arange(1 << nbits), nbits)
-    table.setflags(write=False)
-    return table
+def _sign_sums(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(2**k, *base.shape): base + s @ rows for the k = len(rows) sign vectors s, lexicographic."""
+    out = np.empty((1 << len(rows), *base.shape), dtype=base.dtype)
+    out[0] = base - rows.sum(axis=0, dtype=base.dtype)  # a doubling tree from every sign -1: bit 2**i,
+    for i, row in enumerate(2 * rows[::-1]):  # row k-1-i, fills entries 2**i.. from 0.. by adding 2 * row
+        np.add(out[:1 << i], row, out=out[1 << i:2 << i])
+    return out
 
 
 def _prefix_matrices(view: np.ndarray, m: int, n: int, pbits: int, start: int, count_bits: int) -> np.ndarray:
-    """The (B, P, n, n) contractions of B flat boards by the 2**count_bits prefixes from ``start``.
+    """The (P, n, n, B) contractions of an (n**m, B) board-minor stack by the 2**count_bits prefixes from ``start``.
 
     Axes left fixed by the varying last ``count_bits`` prefix bits contract
     once; each later axis meets every partial result with its sign rows.
     """
-    fixed = np.concatenate((np.ones(1, dtype=np.int8), sign_rows(pbits, start, start + 1)[0]))
-    cur = view.reshape(len(view), n, -1)
+    fixed = np.array([1] + [(start >> b & 1) * 2 - 1 for b in range(pbits - 1, -1, -1)], dtype=np.int8)
+    cur = view.reshape(1, n, -1)
     for a in range(m - 2):
         vary = min(n, max(0, count_bits - n * (m - 3 - a)))  # varying bits on axis a
-        rows = np.repeat(fixed[None, a * n:(a + 1) * n], 1 << vary, axis=0)
-        rows[:, n - vary:] = sign_rows(vary)
-        cur = (rows @ cur).reshape(len(view), -1, n, cur.shape[-1] // n)
-    return cur.reshape(len(view), -1, n, n)
+        base = fixed[a * n:(a + 1) * n - vary] @ cur[:, :n - vary]
+        cur = _sign_sums(base, cur.swapaxes(0, 1)[n - vary:]).swapaxes(0, 1).reshape(-1, n, cur.shape[-1] // n)
+    return cur.reshape(-1, n, n, view.shape[1])
 
 
 def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Values (B,) int64 and first-maximum witnesses (B, m, n) int8 of a (B, n**m) stack."""
+    """Values (B,) int64 and first-maximum witnesses (B, m, n) int8 of a (B, n**m) stack, in board-minor blocks."""
     nbits = n * (m - 1) - 1
     if nbits > EXACT_BUDGET_BITS and not allow_large:
         raise BudgetExceeded(f"2**{nbits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget; "
@@ -128,32 +126,34 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
     pbits, lbits = nbits - kbits, min(kbits // 2, _CHUNK_BITS)
     hbits = kbits - lbits
     pblock, hblock = max(0, min(pbits, _CHUNK_BITS - kbits)), min(hbits, max(0, _CHUNK_BITS - lbits))
-    bblock, s_lo = 1 << max(0, _CHUNK_BITS - nbits), sign_rows(lbits)
+    bblock = 1 << max(0, _CHUNK_BITS - nbits)
     best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)
     witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
-        view = boards[b0:b0 + bblock].astype(dtype)
+        view = boards[b0:b0 + bblock].T.astype(dtype, order="C")  # (n**m, B), board-minor
+        width = view.shape[1]
         for p0 in range(0, 1 << pbits, 1 << pblock):
-            mats = _prefix_matrices(view, m, n, pbits, p0, pblock)
-            base = mats[:, :, :n - kbits].sum(axis=2, keepdims=True, dtype=dtype)  # pinned row 0 at m = 2
-            free = mats[:, :, n - kbits:]
-            lo = np.swapaxes(free[:, :, hbits:], 2, 3) @ s_lo.T  # (B, P, n, 2**lbits), contiguous
+            rows = _prefix_matrices(view, m, n, pbits, p0, pblock).swapaxes(0, 1)  # (n, P, n, B): rows of axis m-2
+            zero = np.zeros_like(rows[0])
+            lo = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits:]).transpose(1, 2, 0, 3))  # (P, n, 2**lbits, B)
+            mid = _sign_sums(zero, rows[n - lbits - hblock:n - lbits]).swapaxes(0, 1)  # (P, 2**hblock, n, B)
             for h0 in range(0, 1 << hbits, 1 << hblock):
-                s_hi = sign_rows(hbits, h0, h0 + (1 << hblock))
-                hi = s_hi @ free[:, :, :hbits] + base
-                sums = hi[..., None] + lo[:, :, None]
-                values = np.abs(sums, out=sums).sum(axis=3, dtype=dtype).reshape(len(view), -1)
-                k = values.argmax(axis=1)
-                if len(view) > 1:  # boards that share a block have no other block
-                    best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=1), k
-                elif values.flat[k[0]] > best[b0]:  # strictly: earlier blocks keep ties
+                head = np.array([1] * (m == 2)  # the pinned row 0 at m = 2, then the high bits this block fixes
+                                + [(h0 >> b & 1) * 2 - 1 for b in range(hbits - 1, hblock - 1, -1)], np.int8)
+                hi = mid + (head @ rows[:len(head)].reshape(len(head), zero.size)).reshape(zero.shape)[:, None]
+                sums = hi[:, :, :, None] + lo[:, None]  # (P, 2**hblock, n, 2**lbits, B)
+                values = np.abs(sums, out=sums).sum(axis=2, dtype=dtype).reshape(-1, width)
+                k = values.argmax(axis=0)
+                if width > 1:  # boards that share a block have no other block
+                    best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=0), k
+                elif values[k[0], 0] > best[b0]:  # strictly: earlier blocks keep ties
                     # k counts (prefix, high, low) from (p0, h0, 0): a block has one prefix or every high half
-                    best[b0], index[b0] = values.flat[k[0]], k[0] + ((p0 << kbits) | (h0 << lbits))
-        partial = _signs_at(index[b0:b0 + bblock] | 1 << nbits, nbits + 1).reshape(-1, m - 1, n)  # top bit: x0[0] = 1
-        c = view
+                    best[b0], index[b0] = values[k[0], 0], k[0] + ((p0 << kbits) | (h0 << lbits))
+        partial = _signs_at(index[b0:b0 + bblock] | 1 << nbits, nbits + 1)  # top bit: x0[0] = 1
+        c, cols = view, partial.T.astype(dtype, order="C")
         for a in range(m - 1):
-            c = partial[:, a, None] @ c.reshape(len(c), n, -1)
-        witnesses[b0:b0 + bblock] = np.concatenate((partial, _sign_of(c).reshape(-1, 1, n)), axis=1)
+            c = (c.reshape(n, -1, width) * cols[a * n:(a + 1) * n, None]).sum(axis=0, dtype=dtype)
+        witnesses[b0:b0 + bblock] = np.concatenate((partial.reshape(-1, m - 1, n), _sign_of(c.T)[:, None]), axis=1)
     return best, witnesses
 
 
@@ -186,11 +186,12 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
     values, witnesses = _exact_kernel(m, n, boards)
     step = 1 << max(0, _CHUNK_BITS + 1 - n * (m - 1))
     for b0 in range(0, len(boards), step):
-        cur = boards[b0:b0 + step].astype(np.int64)
+        cur = boards[b0:b0 + step].T.astype(np.int64, order="C")  # (n**m, B), as in the kernel
+        cols = witnesses[b0:b0 + step].transpose(1, 2, 0).astype(np.int64, order="C")
         for a in range(m):
-            cur = witnesses[b0:b0 + step, a, None].astype(np.int64) @ cur.reshape(len(cur), n, -1)
+            cur = (cur.reshape(n, -1, cur.shape[-1]) * cols[a, :, None]).sum(axis=0)
         if (cur.reshape(-1) != values[b0:b0 + step]).any() or (np.abs(witnesses[b0:b0 + step]) != 1).any():
-            raise AssertionError(f"witness re-evaluation mismatch in boards {b0}..{b0 + len(cur) - 1}")
+            raise AssertionError(f"witness re-evaluation mismatch in boards {b0}..{b0 + cur.size - 1}")
     return values, witnesses
 
 

@@ -300,9 +300,11 @@ def from_json_dict(obj) -> SignTensor:
         raise ValueError("tensor JSON field entries must be an array")
     if len(entries) != dims.size:
         raise LengthMismatch(f"expected {dims.size} entries, got {len(entries)}")
-    for e in entries:
-        if isinstance(e, bool) or not isinstance(e, int) or e not in (-1, 1):
-            raise NonUnimodularEntry(f"entries must be integers +1 or -1, found {e!r}")
+    # two C-level passes accept plain +/-1 ints; the loop names the first bad entry
+    if not (set(map(type, entries)) <= {int} and set(entries) <= {-1, 1}):
+        for e in entries:
+            if isinstance(e, bool) or not isinstance(e, int) or e not in (-1, 1):
+                raise NonUnimodularEntry(f"entries must be integers +1 or -1, found {e!r}")
     return make_tensor(dims, entries)
 
 

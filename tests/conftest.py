@@ -6,6 +6,7 @@ oracles (ascent_runs, greedy_loop, local_search_loop, contraction_loop,
 dual_coords_vector) are the heuristic solvers' one-start, one-restart and
 one-vector loops: the stacked solvers must match them bit for bit.
 sign_draws_loop is ``rng.sign_draws`` by one numpy-seeded PCG64 per seed.
+lex_first_batch_m2 is ``exact_max_batch`` at m = 2 by brute force.
 """
 
 import itertools
@@ -119,6 +120,24 @@ def lex_values(tensor: SignTensor):
             c = np.einsum("bi,bi...->b...", block[:, a * n:(a + 1) * n], c)
         values.append(np.abs(c).sum(axis=1))
     return np.concatenate(values), rows
+
+
+def lex_first_batch_m2(boards) -> tuple[np.ndarray, np.ndarray]:
+    """(values, witnesses) of a (B, n*n) stack of m = 2 boards by brute force, all boards at once.
+
+    Scores every x with x[0] = +1 (itertools order, -1 before +1) against
+    every board in int64, keeps each board's first maximum and closes the
+    last axis with y = sign(c), sign(0) = +1.
+    """
+    boards = np.asarray(boards, dtype=np.int64)
+    n = math.isqrt(boards.shape[1])
+    xs = np.array([(1, *tail) for tail in itertools.product((-1, 1), repeat=n - 1)], dtype=np.int64)
+    c = np.einsum("xi,bij->bxj", xs, boards.reshape(-1, n, n))  # (B, 2**(n-1), n)
+    scores = np.abs(c).sum(axis=2)
+    first = scores.argmax(axis=1)
+    rows = np.arange(len(boards))
+    y = np.where(c[rows, first] < 0, -1, 1)
+    return scores[rows, first], np.stack((xs[first], y), axis=1).astype(np.int8)
 
 
 def board_from_code(n: int, code: int) -> SignTensor:

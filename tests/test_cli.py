@@ -238,6 +238,27 @@ def test_output_file(cf_file, tmp_path, monkeypatch):
     assert target.read_text().startswith(CSV_HEADER)
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--input", "{board}", "--method", "exact"],
+    ["verify-extremal"],
+    ["ksz", "--m", "2", "--n", "2:3", "--samples", "20", "--seed", "7", "--tol", "10"],
+])
+def test_output_options_after_the_subcommand(command, cf_file, tmp_path, monkeypatch):
+    command = [arg.format(board=cf_file) for arg in command]
+    before = invoke(["--json", *command], monkeypatch)
+    assert before[0] == 0 and before[1].startswith("{")
+    assert invoke([*command, "--json"], monkeypatch) == before
+    assert invoke(["--json", *command, "--json"], monkeypatch) == before
+    csv_out = invoke(command, monkeypatch)
+    for n, argv in enumerate([["--output", "{out}", *command], [*command, "--output", "{out}"]]):
+        target = tmp_path / f"rows{n}.csv"
+        assert invoke([arg.format(out=target) for arg in argv], monkeypatch) == (0, "")
+        assert target.read_text() == csv_out[1]
+    target = tmp_path / "rows.json"
+    assert invoke([*command, "--output", str(target), "--json"], monkeypatch) == (0, "")
+    assert target.read_text() == before[1]
+
+
 def test_witness_string_roundtrip():
     import numpy as np
 
@@ -367,6 +388,12 @@ _PINNED_STDOUT = {
         "a5b1947054533b9a680f728a7f795ded1599191852b0eab42e37c37ce8a9b8bb",
     ("--json", "solve", "--method", "exact", "--input", "{board}"):
         "7c8eba7de9e4d9780525f178fac7945c90ad53415827fbae771f36042c66e660",
+    ("ksz", "--m", "2", "--n", "3:7", "--samples", "500", "--seed", "7"):
+        "75e28d8d5e74e9cd9a088627d0e2c6e10de2e4243750b14637857679a03343be",
+    ("ksz", "--m", "3", "--n", "2:4", "--samples", "500", "--seed", "7"):
+        "4d43f57a01cfe57c7efeb710baa018f63a77eb00a76c1166a68e3ac7247e231f",
+    ("scan", "--m", "3", "--n", "8", "--method", "greedy", "--seed", "7"):
+        "7df25cdcb2f1a761af132c3d9c34e675cf8bbbabbce0bb575ec3e8f833aa9b34",
 }
 
 

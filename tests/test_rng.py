@@ -41,15 +41,44 @@ def test_mix_on_uint64_arrays_matches_scalar_mix():
 
 # n covers every residue mod 4 (and mod 8): the int8 draw packs four signs
 # into each 32-bit output and PCG64 carries the spare half of a 64-bit
-# output into the next call of the same stream.
+# output into the next call of the same stream (ceil(n/4) * count odd,
+# e.g. n = 27 or 49 at count 1 and 3). At n = 256 the 510 seeds take
+# several passes of rng._DRAW_CHUNK outputs.
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 13, 27])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 13, 27, 49, 64, 256])
 def test_sign_draws_matches_per_seed_loop(n, count):
     seeds = EDGE_SEEDS + MIX_SEEDS
     got = sign_draws(seeds, count, n)
     assert got.dtype == np.int8 and got.shape == (len(seeds), count, n)
     assert np.array_equal(got, sign_draws_loop(seeds, count, n))
     assert np.array_equal(sign_draws(np.array(seeds, dtype=np.uint64), count, n), got)
+
+
+def test_sign_draws_seed_stack_past_one_pass():
+    seeds = mix(7, np.arange(rng._DRAW_CHUNK + 1000, dtype=np.uint64))
+    assert np.array_equal(sign_draws(seeds, 1, 5), sign_draws_loop(seeds, 1, 5))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_sign_draws_chunked_passes_keep_bytes(monkeypatch, chunk):
+    # a pass may end inside one seed's stream (chunk < steps), so the LCG
+    # state must carry over between passes; no product exceeds a pass
+    shapes = [(seeds, count, n) for seeds in (EDGE_SEEDS, MIX_SEEDS[:40]) for count, n in ((1, 27), (3, 49), (2, 256))]
+    expected = [sign_draws(*shape) for shape in shapes]
+    largest = []
+    mul128 = rng._mul128
+
+    def recording(*halves):
+        out = mul128(*halves)
+        largest.append(max(out[0].size, out[1].size))
+        return out
+
+    monkeypatch.setattr(rng, "_mul128", recording)
+    monkeypatch.setattr(rng, "_DRAW_CHUNK", chunk)
+    for shape, want in zip(shapes, expected):
+        largest.clear()
+        assert np.array_equal(sign_draws(*shape), want)
+        assert max(largest) <= chunk
 
 
 def test_sign_draws_is_generator_and_random_tensor():

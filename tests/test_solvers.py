@@ -9,6 +9,7 @@ from conftest import (
     board_from_code,
     brute_force_max,
     greedy_loop,
+    lex_first_batch_m2,
     lex_first_exact,
     lex_values,
     local_search_loop,
@@ -169,6 +170,25 @@ def test_exact_max_batch_when_maxima_span_blocks(m, n, seed):
     _assert_batch_matches_exact_max(m, n, np.stack([board.entries for board in boards]))
 
 
+def test_exact_max_batch_every_4x4_board_matches_brute_force():
+    boards = _all_boards(4)
+    values, witnesses = exact_max_batch(2, 4, boards)
+    expected_values, expected_witnesses = lex_first_batch_m2(boards)
+    assert np.array_equal(values, expected_values)
+    assert witnesses.tobytes() == expected_witnesses.tobytes()
+
+
+def test_exact_max_batch_partial_board_block_matches_brute_force():
+    # 2**_CHUNK_BITS / 2**3 = 2048 boards share a block at n = 4, so the
+    # last of 2049 boards has a block to itself
+    boards = generator(8, 2, 4).integers(0, 2, size=(2049, 16), dtype=np.int8) * 2 - 1
+    boards[-1] = boards[0]
+    values, witnesses = exact_max_batch(2, 4, boards)
+    expected_values, expected_witnesses = lex_first_batch_m2(boards)
+    assert np.array_equal(values, expected_values)
+    assert witnesses.tobytes() == expected_witnesses.tobytes()
+
+
 @pytest.mark.parametrize("m,n", WITNESS_SIZES)
 def test_exact_max_batch_matches_lex_oracle_on_tie_heavy_boards(m, n):
     boards = _tie_heavy_boards(m, n)
@@ -224,17 +244,17 @@ def test_exact_max_batch_input_errors_before_kernel(monkeypatch):
         assert excinfo.type is error
 
 
-def test_sign_rows_lexicographic_and_cached():
+def test_sign_rows_lexicographic():
     assert sign_rows(2).tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     assert sign_rows(3, 5, 7).tolist() == [[1, -1, 1], [1, 1, -1]]
     assert sign_rows(0).shape == (1, 0)
     small = sign_rows(_CHUNK_BITS)
-    assert small.base is not None and small.base is sign_rows(_CHUNK_BITS).base  # one cached table
-    assert not small.flags.writeable
+    assert small.dtype == np.int8 and small.flags.writeable and small is not sign_rows(_CHUNK_BITS)
     big = sign_rows(_CHUNK_BITS + 1)
-    assert big.base is None and big.flags.writeable  # built per call, never cached
     assert np.array_equal(sign_rows(_CHUNK_BITS + 1, 3, 9), big[3:9])
     assert np.array_equal(big[:, 1:], np.vstack([small, small]))
+    assert np.array_equal(big[:, 0], np.repeat([-1, 1], 1 << _CHUNK_BITS))
+    assert sign_rows(40, 2**39 - 1, 2**39 + 1).tolist() == [[-1] + [1] * 39, [1] + [-1] * 39]
 
 
 def test_all_boards_follow_code_order():

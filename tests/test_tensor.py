@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,25 @@ def test_json_reader_rejections():
         from_json_dict({**good, "m": 2.0})
     with pytest.raises(ValueError):
         from_json_dict([1, 1, 1, -1])
+
+
+class _One(int):
+    """An int subclass: the entry check accepts it as the int it is."""
+
+
+@pytest.mark.parametrize("bad", [0, 2, -2, 2**70, -(2**70), True, False, 1.0, -1.0, 0.5, float("nan"),
+                                 "1", None, [1], {"v": 1}, _One(2)])
+@pytest.mark.parametrize("where", [0, 5, 8])
+def test_json_entries_rejected_like_the_loop(bad, where):
+    entries = [1, -1, 1, 1, -1, -1, 1, 1, -1]
+    entries[where] = bad
+    with pytest.raises(NonUnimodularEntry, match=r"found " + re.escape(repr(bad)) + "$"):
+        from_json_dict({"m": 2, "n": 3, "entries": entries})
+
+
+def test_json_entries_accepts_int_subclasses():
+    entries = [1, -1, _One(1), 1]
+    assert from_json_dict({"m": 2, "n": 2, "entries": entries}).entries.tolist() == [1, -1, 1, 1]
 
 
 def test_to_json_dict_is_plain_ints():
