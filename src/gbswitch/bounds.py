@@ -10,8 +10,10 @@ constant.
 Exponents are exact: ``p`` and ``r`` may be int, Fraction, float, or
 math.inf. Finite inputs are canonicalized to Fraction and every exponent
 formula is evaluated in rational arithmetic, so classification never flips
-on float error at boundaries such as p = 2m/(m+1). Infinity is treated as
-the closed-form limit, never as a large float.
+on float error at boundaries such as p = 2m/(m+1). Each formula is written
+once, in t = 1/p (and s = 1/r), so p = inf is the closed-form limit t = 0,
+never a large float: inf enters only through ``as_exponent`` and the 1/p
+map ``_inverse``; domain checks compare it as a float.
 
 Note on f(p): the normalization here divides by Gamma(3/2), which is the
 choice that makes f(2) = 1 and f(1) = sqrt(pi/2) and reproduces the
@@ -77,8 +79,34 @@ def _check_degree(m: int, minimum: int) -> None:
         raise InvalidExponent(f"degree m must be an integer >= {minimum}, got {m!r}")
 
 
+def _inverse(p) -> Fraction:
+    """t = 1/p of a canonical exponent; the one place p = inf becomes t = 0."""
+    return Fraction(0) if p == INF else 1 / p
+
+
+def _sharp(m: int, t: Fraction) -> Fraction:
+    """2mp/(mp+p-2m) = 2m/(m+1-2mt); 2m/(m+1) at p = inf."""
+    return 2 * m / (m + 1 - 2 * m * t)
+
+
+def _lower(m: int, t: Fraction) -> Fraction:
+    """mp/(p-1) = m/(1-t)."""
+    return m / (1 - t)
+
+
+def _blowup(m: int, t: Fraction, s: Fraction) -> Fraction:
+    """max{(2mr + 2mp - mpr - pr)/(2pr), 0} = max{(2m(t+s) - m - 1)/2, 0} with s = 1/r."""
+    return max((2 * m * (t + s) - m - 1) / 2, Fraction(0))
+
+
+def _blowup_lower(m: int, t: Fraction, s: Fraction) -> Fraction:
+    """max{(mp + r - pr)/(pr), 0} = max{ms + t - 1, 0} with s = 1/r."""
+    return max(m * s + t - 1, Fraction(0))
+
+
 def _unimodular_threshold(m: int) -> Fraction:
-    return Fraction(2 * m, m + 1)
+    """2m/(m+1): the pole of the sharp exponent in p, equal to its value at p = inf."""
+    return _sharp(m, Fraction(0))
 
 
 def hl_exponent(m: int, p: Exponent) -> Fraction:
@@ -89,13 +117,9 @@ def hl_exponent(m: int, p: Exponent) -> Fraction:
     """
     _check_degree(m, 2)
     pc = as_exponent(p)
-    if pc == INF:
-        return Fraction(2 * m, m + 1)
     if pc <= m:
         raise InvalidExponent(f"hl_exponent requires p > m, got p={pc}, m={m}")
-    if pc <= 2 * m:
-        return pc / (pc - m)
-    return 2 * m * pc / (m * pc + pc - 2 * m)
+    return pc / (pc - m) if pc <= 2 * m else _sharp(m, _inverse(pc))
 
 
 def ksz_exponent(m: int, p: Exponent) -> Fraction:
@@ -105,13 +129,10 @@ def ksz_exponent(m: int, p: Exponent) -> Fraction:
     """
     _check_degree(m, 1)
     pc = as_exponent(p)
-    if pc == INF:
-        return Fraction(m + 1, 2)
     if pc < 1:
         raise InvalidExponent(f"ksz_exponent requires p >= 1, got {pc}")
-    first = Fraction(1, 2) + m * (Fraction(1, 2) - 1 / pc)
-    second = 1 - 1 / pc
-    return max(first, second)
+    t = _inverse(pc)
+    return max(Fraction(1, 2) + m * (Fraction(1, 2) - t), 1 - t)
 
 
 class RegionKind(enum.Enum):
@@ -143,18 +164,13 @@ def unimodular_sharp_exponent(m: int, p: Exponent) -> RegionVerdict:
     """
     _check_degree(m, 2)
     pc = as_exponent(p)
-    if pc == INF:
-        return RegionVerdict(RegionKind.ADMISSIBLE, sharp_exponent=Fraction(2 * m, m + 1))
     if pc <= 1:
         raise InvalidExponent(f"unimodular_sharp_exponent requires p > 1, got {pc}")
+    t = _inverse(pc)
     if pc >= 2:
-        sharp = 2 * m * pc / (m * pc + pc - 2 * m)
-        return RegionVerdict(RegionKind.ADMISSIBLE, sharp_exponent=sharp)
-    lower = m * pc / (pc - 1)
-    if pc > _unimodular_threshold(m):
-        upper = 2 * m * pc / (m * pc + pc - 2 * m)
-        return RegionVerdict(RegionKind.UNKNOWN, interval=(lower, upper))
-    return RegionVerdict(RegionKind.UNKNOWN, interval=(lower, INF))
+        return RegionVerdict(RegionKind.ADMISSIBLE, sharp_exponent=_sharp(m, t))
+    upper = _sharp(m, t) if pc > _unimodular_threshold(m) else INF
+    return RegionVerdict(RegionKind.UNKNOWN, interval=(_lower(m, t), upper))
 
 
 def classify_point(m: int, p: Exponent, r: Exponent) -> RegionKind:
@@ -165,7 +181,7 @@ def classify_point(m: int, p: Exponent, r: Exponent) -> RegionKind:
     non-admissible; the gap, where it exists, is unknown.
     """
     rc = as_exponent(r, name="r")
-    if rc != INF and rc <= 0:
+    if rc <= 0:
         raise InvalidExponent(f"r must be > 0, got {rc}")
     verdict = unimodular_sharp_exponent(m, p)
     if verdict.kind is RegionKind.ADMISSIBLE:
@@ -178,24 +194,25 @@ def classify_point(m: int, p: Exponent, r: Exponent) -> RegionKind:
     return RegionKind.UNKNOWN
 
 
+def _blowup_args(m: int, p: Exponent, r: Exponent) -> tuple[Fraction, Fraction]:
+    """(1/p, 1/r) for the blow-up rates, which need finite r > 0 and p > 2m/(m+1)."""
+    _check_degree(m, 1)
+    rc = as_exponent(r, name="r")
+    pc = as_exponent(p)
+    if rc == INF or rc <= 0:
+        raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {rc}")
+    if pc <= _unimodular_threshold(m):
+        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
+    return _inverse(pc), 1 / rc
+
+
 def blowup_exponent(m: int, p: Exponent, r: Exponent) -> Fraction:
     """Power of n needed when the sharp lr norm is replaced by a smaller r.
 
     max{(2mr + 2mp - mpr - pr)/(2pr), 0}; at p = inf the limit
     max{(2m - (m+1)r)/(2r), 0}. Zero exactly from r = 2mp/(mp+p-2m) on.
     """
-    _check_degree(m, 1)
-    rc = as_exponent(r, name="r")
-    pc = as_exponent(p)
-    if rc == INF or rc <= 0:
-        raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {rc}")
-    if pc != INF and pc <= _unimodular_threshold(m):
-        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
-    if pc == INF:
-        value = (2 * m - (m + 1) * rc) / (2 * rc)
-    else:
-        value = (2 * m * rc + 2 * m * pc - m * pc * rc - pc * rc) / (2 * pc * rc)
-    return max(value, Fraction(0))
+    return _blowup(m, *_blowup_args(m, p, r))
 
 
 def blowup_lower_exponent(m: int, p: Exponent, r: Exponent) -> Fraction:
@@ -204,18 +221,7 @@ def blowup_lower_exponent(m: int, p: Exponent, r: Exponent) -> Fraction:
     This is the proven lower bound on the blow-up power in the
     2m/(m+1) < p < 2 gap (limit max{m/r - 1, 0} at p = inf).
     """
-    _check_degree(m, 1)
-    rc = as_exponent(r, name="r")
-    pc = as_exponent(p)
-    if rc == INF or rc <= 0:
-        raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {rc}")
-    if pc != INF and pc <= _unimodular_threshold(m):
-        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
-    if pc == INF:
-        value = Fraction(m, 1) / rc - 1
-    else:
-        value = (m * pc + rc - pc * rc) / (pc * rc)
-    return max(value, Fraction(0))
+    return _blowup_lower(m, *_blowup_args(m, p, r))
 
 
 def conjecture_exponent(m: int, p: Exponent, r: Optional[Exponent] = None):
@@ -231,25 +237,17 @@ def conjecture_exponent(m: int, p: Exponent, r: Optional[Exponent] = None):
     _check_degree(m, 2)
     pc = as_exponent(p)
     if r is None:
-        if pc == INF:
-            return Fraction(2 * m, m + 1)
         if pc < 1:
             raise InvalidExponent(f"conjectured exponent requires p >= 1, got {pc}")
-        if pc >= 2:
-            return 2 * m * pc / (m * pc + pc - 2 * m)
         if pc == 1:
             return INF
-        return m * pc / (pc - 1)
+        return (_sharp if pc >= 2 else _lower)(m, _inverse(pc))
     rc = as_exponent(r, name="r")
     if rc == INF or rc <= 0:
         raise InvalidExponent(f"r must be finite and > 0, got {rc}")
-    if pc == INF or pc >= 2:
-        if pc == INF:
-            return max((2 * m - (m + 1) * rc) / (2 * rc), Fraction(0))
-        return max((2 * m * rc + 2 * m * pc - m * pc * rc - pc * rc) / (2 * pc * rc), Fraction(0))
     if pc <= 1:
         raise InvalidExponent(f"conjectured blow-up requires p > 1, got {pc}")
-    return max((m * pc + rc - pc * rc) / (pc * rc), Fraction(0))
+    return (_blowup if pc >= 2 else _blowup_lower)(m, _inverse(pc), 1 / rc)
 
 
 # --- constants ---------------------------------------------------------------
@@ -280,7 +278,7 @@ def harmonic(n: int) -> float:
 def haagerup_f(p: Exponent) -> float:
     """f(p) = (2**((p-2)/2) * Gamma((p+1)/2) / Gamma(3/2))**(-1) on 1 <= p <= 2."""
     pc = as_exponent(p)
-    if pc == INF or not 1 <= pc <= 2:
+    if not 1 <= pc <= 2:
         raise InvalidExponent(f"haagerup_f requires 1 <= p <= 2, got {pc}")
     pf = float(pc)
     log_f = -((pf - 2.0) / 2.0) * math.log(2.0) - log_gamma((pf + 1.0) / 2.0) + log_gamma(1.5)

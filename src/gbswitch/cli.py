@@ -57,16 +57,6 @@ class ExperimentRecord:
     witness: Optional[str] = None
 
 
-def _fmt_exponent(x) -> str:
-    if x is None:
-        return ""
-    if x == math.inf:
-        return "inf"
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(float(x))
-
-
 def _fmt_number(x) -> str:
     if x is None:
         return ""
@@ -111,8 +101,8 @@ def render(records: list[ExperimentRecord], as_json: bool) -> str:
                 "command": rec.command,
                 "m": rec.m,
                 "n": rec.n,
-                "p": _fmt_exponent(rec.p) or None,
-                "r": _fmt_exponent(rec.r) or None,
+                "p": _fmt_number(rec.p) or None,
+                "r": _fmt_number(rec.r) or None,
                 "seed": rec.seed,
                 "method": rec.method,
                 "value": None if rec.value is None else float(rec.value),
@@ -129,8 +119,8 @@ def render(records: list[ExperimentRecord], as_json: bool) -> str:
             rec.command,
             "" if rec.m is None else str(rec.m),
             "" if rec.n is None else str(rec.n),
-            _fmt_exponent(rec.p),
-            _fmt_exponent(rec.r),
+            _fmt_number(rec.p),
+            _fmt_number(rec.r),
             "" if rec.seed is None else str(rec.seed),
             rec.method,
             _fmt_number(rec.value),
@@ -458,22 +448,26 @@ def _cmd_region(args, parser) -> list[ExperimentRecord]:
     m = args.m
     if args.boundary:
         t0 = time.perf_counter()
-        points = max(2, args.grid_points)
-        threshold = Fraction(2 * m, m + 1)
+        bounds._check_degree(m, 2)
+        points, threshold = args.grid_points, bounds._unimodular_threshold(m)
         p_max = args.p_max if args.p_max != math.inf else Fraction(12)
+        if points < 2:
+            raise ValueError(f"--grid-points must be >= 2, got {points}")
+        if p_max <= threshold:
+            raise InvalidExponent(f"--p-max must be > 2m/(m+1) = {threshold}, got {p_max}")
         for i in range(1, points + 1):
             p_i = 1 + i * Fraction(1, points)  # lower curve lives on (1, 2]
             records.append(ExperimentRecord(
                 command="region", m=m, p=p_i, method="lower-curve",
-                value=float(m * p_i / (p_i - 1)), verdict=INFO,
+                value=float(bounds._lower(m, bounds._inverse(p_i))), verdict=INFO,
                 runtime_ms=_runtime_ms(time.perf_counter() - t0),
             ))
-        step = (Fraction(p_max) - threshold) / points
+        step = (p_max - threshold) / points
         for i in range(1, points + 1):
             p_i = threshold + i * step
             records.append(ExperimentRecord(
                 command="region", m=m, p=p_i, method="sharp-curve",
-                value=float(2 * m * p_i / (m * p_i + p_i - 2 * m)), verdict=INFO,
+                value=float(bounds._sharp(m, bounds._inverse(p_i))), verdict=INFO,
                 runtime_ms=_runtime_ms(time.perf_counter() - t0),
             ))
     if args.p is not None:
@@ -488,8 +482,7 @@ def _cmd_region(args, parser) -> list[ExperimentRecord]:
             value, reference = float(verdict.sharp_exponent), float(verdict.sharp_exponent)
         else:
             lo, hi = verdict.interval
-            value = float(lo)
-            reference = math.inf if hi == math.inf else float(hi)
+            value, reference = float(lo), float(hi)
         records.append(ExperimentRecord(
             command="region", m=m, p=args.p, r=args.r, method=method,
             value=value, reference=reference, verdict=INFO,

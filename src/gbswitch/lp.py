@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .bounds import INF, as_exponent, km_constant
+from .bounds import _inverse, _sharp, _unimodular_threshold, as_exponent, km_constant
 from .errors import InvalidExponent
 from .rng import mix, sign_draws
 from .tensor import SignTensor, _contract, _stack_rows
@@ -83,9 +82,9 @@ class AscentResult:
 
 def _exponent_float(p) -> float:
     pc = as_exponent(p)
-    if pc != INF and pc < 1:
+    if pc < 1:
         raise InvalidExponent(f"lp exponent must satisfy p >= 1, got {pc}")
-    return math.inf if pc == INF else float(pc)
+    return float(pc)
 
 
 def _dual_coords(c: np.ndarray, pf: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,17 +189,14 @@ def alternating_max(
 def g_lower_bound_formula(m: int, n: int, p) -> float:
     """Proven lower bound n**((mp+p-2m)/(2p)) / (1.3 m**0.365) on the lp game value.
 
-    Valid for p > 2m/(m+1); at p = inf the exponent is the limit (m+1)/2.
+    Valid for p > 2m/(m+1); the exponent is m over the sharp exponent, the
+    limit (m+1)/2 at p = inf.
     """
     pc = as_exponent(p)
-    threshold = Fraction(2 * m, m + 1)
-    if pc == INF:
-        expo = Fraction(m + 1, 2)
-    else:
-        if pc <= threshold:
-            raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {threshold}, got {pc}")
-        expo = (m * pc + pc - 2 * m) / (2 * pc)
-    return float(n) ** float(expo) / km_constant(m)
+    if pc <= _unimodular_threshold(m):
+        raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
+    constant = km_constant(m)  # rejects m < 1 before the formula divides by its sharp exponent
+    return float(n) ** float(m / _sharp(m, _inverse(pc))) / constant
 
 
 def weak_l1_norm(n: int, p) -> float:
@@ -209,8 +205,6 @@ def weak_l1_norm(n: int, p) -> float:
     Equals dual_update(all-ones, p/(p-1)).value; the p = inf case is 1.
     """
     pc = as_exponent(p)
-    if pc == INF:
-        return 1.0
     if pc <= 1:
         raise InvalidExponent(f"weak_l1_norm requires p > 1, got {pc}")
-    return float(n) ** float(1 / pc)
+    return float(n) ** float(_inverse(pc))

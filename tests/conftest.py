@@ -7,10 +7,14 @@ dual_coords_vector) are the heuristic solvers' one-start, one-restart and
 one-vector loops: the stacked solvers must match them bit for bit.
 sign_draws_loop is ``rng.sign_draws`` by one numpy-seeded PCG64 per seed.
 lex_first_batch_m2 is ``exact_max_batch`` at m = 2 by brute force.
+The oracle_* exponent formulas are the bounds and lp formulas written in p,
+with an explicit p = inf branch each; the library writes them once in 1/p.
 """
 
 import itertools
 import math
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -29,6 +33,16 @@ from gbswitch import (
     make_assignment,
     make_tensor,
     partial_contraction,
+)
+from gbswitch.bounds import (
+    INF,
+    Exponent,
+    InvalidExponent,
+    RegionKind,
+    RegionVerdict,
+    _check_degree,
+    as_exponent,
+    km_constant,
 )
 from gbswitch.rng import sign_vector
 
@@ -290,3 +304,127 @@ def dual_coords_vector(c: np.ndarray, pf: float):
     if size > 0:
         x = x / size
     return x, value
+
+
+# --- exponent formulas in p, with their p = inf branches ----------------------
+
+
+def _unimodular_threshold(m: int) -> Fraction:
+    return Fraction(2 * m, m + 1)
+
+
+def oracle_hl_exponent(m: int, p: Exponent) -> Fraction:
+    _check_degree(m, 2)
+    pc = as_exponent(p)
+    if pc == INF:
+        return Fraction(2 * m, m + 1)
+    if pc <= m:
+        raise InvalidExponent(f"hl_exponent requires p > m, got p={pc}, m={m}")
+    if pc <= 2 * m:
+        return pc / (pc - m)
+    return 2 * m * pc / (m * pc + pc - 2 * m)
+
+
+def oracle_ksz_exponent(m: int, p: Exponent) -> Fraction:
+    _check_degree(m, 1)
+    pc = as_exponent(p)
+    if pc == INF:
+        return Fraction(m + 1, 2)
+    if pc < 1:
+        raise InvalidExponent(f"ksz_exponent requires p >= 1, got {pc}")
+    first = Fraction(1, 2) + m * (Fraction(1, 2) - 1 / pc)
+    second = 1 - 1 / pc
+    return max(first, second)
+
+
+def oracle_unimodular_sharp_exponent(m: int, p: Exponent) -> RegionVerdict:
+    _check_degree(m, 2)
+    pc = as_exponent(p)
+    if pc == INF:
+        return RegionVerdict(RegionKind.ADMISSIBLE, sharp_exponent=Fraction(2 * m, m + 1))
+    if pc <= 1:
+        raise InvalidExponent(f"unimodular_sharp_exponent requires p > 1, got {pc}")
+    if pc >= 2:
+        sharp = 2 * m * pc / (m * pc + pc - 2 * m)
+        return RegionVerdict(RegionKind.ADMISSIBLE, sharp_exponent=sharp)
+    lower = m * pc / (pc - 1)
+    if pc > _unimodular_threshold(m):
+        upper = 2 * m * pc / (m * pc + pc - 2 * m)
+        return RegionVerdict(RegionKind.UNKNOWN, interval=(lower, upper))
+    return RegionVerdict(RegionKind.UNKNOWN, interval=(lower, INF))
+
+
+def oracle_blowup_exponent(m: int, p: Exponent, r: Exponent) -> Fraction:
+    _check_degree(m, 1)
+    rc = as_exponent(r, name="r")
+    pc = as_exponent(p)
+    if rc == INF or rc <= 0:
+        raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {rc}")
+    if pc != INF and pc <= _unimodular_threshold(m):
+        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
+    if pc == INF:
+        value = (2 * m - (m + 1) * rc) / (2 * rc)
+    else:
+        value = (2 * m * rc + 2 * m * pc - m * pc * rc - pc * rc) / (2 * pc * rc)
+    return max(value, Fraction(0))
+
+
+def oracle_blowup_lower_exponent(m: int, p: Exponent, r: Exponent) -> Fraction:
+    _check_degree(m, 1)
+    rc = as_exponent(r, name="r")
+    pc = as_exponent(p)
+    if rc == INF or rc <= 0:
+        raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {rc}")
+    if pc != INF and pc <= _unimodular_threshold(m):
+        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
+    if pc == INF:
+        value = Fraction(m, 1) / rc - 1
+    else:
+        value = (m * pc + rc - pc * rc) / (pc * rc)
+    return max(value, Fraction(0))
+
+
+def oracle_conjecture_exponent(m: int, p: Exponent, r: Optional[Exponent] = None):
+    _check_degree(m, 2)
+    pc = as_exponent(p)
+    if r is None:
+        if pc == INF:
+            return Fraction(2 * m, m + 1)
+        if pc < 1:
+            raise InvalidExponent(f"conjectured exponent requires p >= 1, got {pc}")
+        if pc >= 2:
+            return 2 * m * pc / (m * pc + pc - 2 * m)
+        if pc == 1:
+            return INF
+        return m * pc / (pc - 1)
+    rc = as_exponent(r, name="r")
+    if rc == INF or rc <= 0:
+        raise InvalidExponent(f"r must be finite and > 0, got {rc}")
+    if pc == INF or pc >= 2:
+        if pc == INF:
+            return max((2 * m - (m + 1) * rc) / (2 * rc), Fraction(0))
+        return max((2 * m * rc + 2 * m * pc - m * pc * rc - pc * rc) / (2 * pc * rc), Fraction(0))
+    if pc <= 1:
+        raise InvalidExponent(f"conjectured blow-up requires p > 1, got {pc}")
+    return max((m * pc + rc - pc * rc) / (pc * rc), Fraction(0))
+
+
+def oracle_g_lower_bound_formula(m: int, n: int, p) -> float:
+    pc = as_exponent(p)
+    threshold = Fraction(2 * m, m + 1)
+    if pc == INF:
+        expo = Fraction(m + 1, 2)
+    else:
+        if pc <= threshold:
+            raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {threshold}, got {pc}")
+        expo = (m * pc + pc - 2 * m) / (2 * pc)
+    return float(n) ** float(expo) / km_constant(m)
+
+
+def oracle_weak_l1_norm(n: int, p) -> float:
+    pc = as_exponent(p)
+    if pc == INF:
+        return 1.0
+    if pc <= 1:
+        raise InvalidExponent(f"weak_l1_norm requires p > 1, got {pc}")
+    return float(n) ** float(1 / pc)

@@ -1,10 +1,12 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from gbswitch import (
     InvalidExponent,
     KM_EXPONENT_LIMIT,
@@ -14,13 +16,15 @@ from gbswitch import (
     blowup_lower_exponent,
     classify_point,
     conjecture_exponent,
+    g_lower_bound_formula,
     haagerup_f,
     hl_exponent,
     km_constant,
     ksz_exponent,
     unimodular_sharp_exponent,
+    weak_l1_norm,
 )
-from gbswitch.bounds import EULER_GAMMA, log_gamma
+from gbswitch.bounds import EULER_GAMMA, RegionVerdict, log_gamma
 
 INF = math.inf
 
@@ -175,6 +179,47 @@ def test_blowup_zero_from_sharp_on(rng=None):
             for extra in (Fraction(0), Fraction(1, 7), Fraction(3)):
                 assert blowup_exponent(m, p, sharp + extra) == 0
             assert blowup_exponent(m, p, sharp - Fraction(1, 100)) > 0
+
+
+def _canonical(x):
+    """A comparable form: floats by their bytes, Fractions and INF by type and value."""
+    if isinstance(x, RegionVerdict):
+        return x.kind, _canonical(x.sharp_exponent), tuple(map(_canonical, x.interval or ()))
+    if isinstance(x, float):
+        return float, struct.pack("<d", x)
+    return type(x), x
+
+
+def _outcome(f, *args):
+    try:
+        return _canonical(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_formulas_in_inverse_p_match_the_p_form_oracle():
+    # every (m, p, r) of the grid: the same Fraction or INF, the same float
+    # bytes, or the same exception class and message as the p-form formulas
+    for m in range(9):  # m = 0 checks that a bad degree fails the same way
+        threshold = Fraction(2 * m, m + 1)
+        ps = [INF, Fraction(1), threshold, Fraction(2), Fraction(2 * m)] + [Fraction(k, 6) for k in range(-6, 91)]
+        rs = [INF, Fraction(1), Fraction(4, 3), Fraction(2), threshold, Fraction(9, 2), Fraction(0), Fraction(-1)]
+        for p in ps:
+            pairs = [
+                (hl_exponent, conftest.oracle_hl_exponent, (m, p)),
+                (ksz_exponent, conftest.oracle_ksz_exponent, (m, p)),
+                (unimodular_sharp_exponent, conftest.oracle_unimodular_sharp_exponent, (m, p)),
+                (conjecture_exponent, conftest.oracle_conjecture_exponent, (m, p)),
+            ]
+            for n in (1, m, 10):
+                pairs.append((g_lower_bound_formula, conftest.oracle_g_lower_bound_formula, (m, n, p)))
+                pairs.append((weak_l1_norm, conftest.oracle_weak_l1_norm, (n, p)))
+            for r in rs:
+                pairs.append((blowup_exponent, conftest.oracle_blowup_exponent, (m, p, r)))
+                pairs.append((blowup_lower_exponent, conftest.oracle_blowup_lower_exponent, (m, p, r)))
+                pairs.append((conjecture_exponent, conftest.oracle_conjecture_exponent, (m, p, r)))
+            for f, oracle, args in pairs:
+                assert _outcome(f, *args) == _outcome(oracle, *args), (f.__name__, args)
 
 
 # --- constants ---------------------------------------------------------------

@@ -186,6 +186,23 @@ def test_region_point_and_boundary(monkeypatch):
         assert float(row[7]) > 0
 
 
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--m", "2", "--p-max", "4/3"], "--p-max must be > 2m/(m+1) = 4/3, got 4/3", id="p-max-at-pole"),
+    pytest.param(["--m", "2", "--p-max", "1", "--grid-points", "3"], "--p-max must be > 2m/(m+1) = 4/3, got 1",
+                 id="p-max-below-pole"),
+    pytest.param(["--m", "0"], "degree m must be an integer >= 2, got 0", id="m-0"),
+    pytest.param(["--m", "1"], "degree m must be an integer >= 2, got 1", id="m-1"),
+    pytest.param(["--m", "2", "--grid-points", "0"], "--grid-points must be >= 2, got 0", id="grid-0"),
+    pytest.param(["--m", "2", "--grid-points", "-5"], "--grid-points must be >= 2, got -5", id="grid-negative"),
+    pytest.param(["--m", "3", "--p", "3", "--grid-points", "1"], "--grid-points must be >= 2, got 1",
+                 id="grid-1-with-point-query"),
+])
+def test_region_boundary_bad_input_exits_2(args, message, monkeypatch, capsys):
+    code, out = invoke(["region", "--boundary", *args], monkeypatch)
+    assert (code, out) == (2, "")
+    assert f"gbswitch: error: {message}\n" == capsys.readouterr().err
+
+
 def test_region_conjecture_tagged(monkeypatch):
     code, out = invoke(["region", "--m", "2", "--p", "3/2", "--conjecture"], monkeypatch)
     assert code == 0
@@ -394,6 +411,14 @@ _PINNED_STDOUT = {
         "4d43f57a01cfe57c7efeb710baa018f63a77eb00a76c1166a68e3ac7247e231f",
     ("scan", "--m", "3", "--n", "8", "--method", "greedy", "--seed", "7"):
         "7df25cdcb2f1a761af132c3d9c34e675cf8bbbabbce0bb575ec3e8f833aa9b34",
+    ("region", "--m", "3", "--p", "3/2", "--r", "2", "--conjecture"):
+        "fb983b6e3ac7b1f5ded64006f8b36d3219d0bccf41ea7d1a771240feeb09b027",
+    ("--json", "region", "--m", "2", "--p", "inf", "--r", "4/3", "--conjecture"):
+        "6e660dc8225c0548453152bcae65aff44539b2e50106eb0590c575f309b7e186",
+    ("region", "--m", "4", "--p", "5/3", "--boundary", "--grid-points", "7", "--p-max", "9/2"):
+        "548d3a2969630c46cd406f071da9d0390c244e2ebb1eb05d83f281f01c66d01f",
+    ("verify-bound", "--max-n", "3", "--r", "1,4/3,2,5/2"):
+        "a8bda2fbd052bd7c630b3ba59937e4fa989afe2b3261db9dcabfbf510bdd7759",
 }
 
 
