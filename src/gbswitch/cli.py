@@ -13,6 +13,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -193,6 +194,7 @@ def _add_solver_options(sp: argparse.ArgumentParser, default_method: str) -> Non
     sp.add_argument("--force", action="store_true", help="override the exact enumeration budget")
 
 
+@functools.cache  # parsing never changes the parser, so one per process serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbswitch",
@@ -236,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=parse_exponent)
     sp.add_argument("--conjecture", action="store_true", help="also emit the conjectured exponent (UNVERIFIED)")
     sp.add_argument("--boundary", action="store_true", help="emit the region-boundary polylines as rows")
-    sp.add_argument("--p-max", type=parse_exponent, default=Fraction(12))
-    sp.add_argument("--grid-points", type=int, default=40)
+    sp.add_argument("--p-max", type=parse_exponent)
+    sp.add_argument("--grid-points", type=int)
 
     sp = sub.add_parser("gen", help="write a random sign tensor JSON file")
     sp.add_argument("--m", type=int, required=True)
@@ -444,13 +446,16 @@ def _cmd_constants(args, parser) -> list[ExperimentRecord]:
 def _cmd_region(args, parser) -> list[ExperimentRecord]:
     if args.p is None and not args.boundary:
         parser.error("region requires --p and/or --boundary")
+    if not args.boundary and (args.grid_points is not None or args.p_max is not None):
+        parser.error("--grid-points and --p-max require --boundary")
     records = []
     m = args.m
     if args.boundary:
         t0 = time.perf_counter()
         bounds._check_degree(m, 2)
-        points, threshold = args.grid_points, bounds._unimodular_threshold(m)
-        p_max = args.p_max if args.p_max != math.inf else Fraction(12)
+        points = 40 if args.grid_points is None else args.grid_points
+        p_max = Fraction(12) if args.p_max in (None, math.inf) else args.p_max
+        threshold = bounds._unimodular_threshold(m)
         if points < 2:
             raise ValueError(f"--grid-points must be >= 2, got {points}")
         if p_max <= threshold:

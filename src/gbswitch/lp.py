@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _inverse, _sharp, _unimodular_threshold, as_exponent, km_constant
+from .bounds import _check_degree, _inverse, _sharp, _unimodular_threshold, as_exponent, km_constant
 from .errors import InvalidExponent
 from .rng import mix, sign_draws
 from .tensor import SignTensor, _contract, _stack_rows
@@ -192,11 +192,11 @@ def g_lower_bound_formula(m: int, n: int, p) -> float:
     Valid for p > 2m/(m+1); the exponent is m over the sharp exponent, the
     limit (m+1)/2 at p = inf.
     """
+    _check_degree(m, 1)
     pc = as_exponent(p)
     if pc <= _unimodular_threshold(m):
         raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
-    constant = km_constant(m)  # rejects m < 1 before the formula divides by its sharp exponent
-    return float(n) ** float(m / _sharp(m, _inverse(pc))) / constant
+    return float(n) ** float(m / _sharp(m, _inverse(pc))) / km_constant(m)
 
 
 def weak_l1_norm(n: int, p) -> float:

@@ -35,7 +35,6 @@ from .tensor import (
     evaluate,
     make_assignment,
     partial_contraction,
-    _contract,
     _stack_rows,
     _validate_signs,
 )
@@ -216,20 +215,27 @@ def random_restart_greedy(tensor: SignTensor, restarts: int, seed: int) -> Solve
     ``generator(seed, r)``; the result is a deterministic function of
     (tensor, restarts, seed), and ties keep the earliest restart. Restarts
     run in stacks of ``tensor._stack_rows`` rows: one ``rng.sign_draws``
-    call seeds and draws a stack, which is contracted in int64; a later
-    stack wins only if strictly greater.
+    call seeds and draws a stack, and each restart contracts the float64
+    board with one BLAS gemv per axis, axis 0 first; a later stack wins
+    only if strictly greater.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     m, n = tensor.dims.m, tensor.dims.n
-    moved = np.moveaxis(tensor.view().astype(np.int64), m - 1, 0)
+    # Exact: every partial sum of a +/-1 board against +/-1 vectors is an
+    # integer of magnitude <= n**m <= tensor.MAX_ENTRIES = 2**40 < 2**53, so
+    # each float64 add and multiply is exact in any order, with or without FMA.
+    board = tensor.view().astype(np.float64)
     block = _stack_rows(m, n)
     best_value = -1
     best_vectors = None
     for r0 in range(0, restarts, block):
         seeds = mix(seed, np.arange(r0, min(restarts, r0 + block), dtype=np.uint64))
-        partial = sign_draws(seeds, m - 1, n).astype(np.int64)
-        c = _contract(moved, partial)
+        partial = sign_draws(seeds, m - 1, n)
+        vecs, cur = partial.astype(np.float64), board.reshape(1, -1)
+        for a in range(m - 1):  # a (1, n) @ (n, n**(m-1-a)) gemv per restart, not one gemm that BLAS threads
+            cur = vecs[:, a, None] @ cur.reshape(len(cur), n, -1)
+        c = cur.reshape(-1, n)  # one row at m = 1, where every restart is the board itself
         values = np.abs(c).sum(axis=1)
         k = int(values.argmax())
         if values[k] > best_value:
@@ -238,36 +244,44 @@ def random_restart_greedy(tensor: SignTensor, restarts: int, seed: int) -> Solve
     return _checked_result(tensor, best_value, best_vectors, Method.RANDOM_RESTART, restarts)
 
 
+def _contract_except(arr: np.ndarray, vecs: np.ndarray, axis: int) -> np.ndarray:
+    """The (n,) contraction of each axis b != ``axis`` of an (n,)*k array with vecs[b]."""
+    for v in vecs[:axis:-1]:
+        arr = arr @ v
+    for v in vecs[:axis]:
+        arr = v @ arr.reshape(len(v), -1)
+    return arr
+
+
 def local_search(tensor: SignTensor, start: SwitchAssignment, max_sweeps: int = 10_000) -> SolveResult:
     """Best-improvement hill climbing over single switch flips.
 
     Each sweep scores every (axis, index) flip and applies the largest
     strictly improving one, ties broken by lowest (axis, index); stops when
     no flip improves or after ``max_sweeps`` flips. The value sequence is
-    strictly increasing, so termination is guaranteed.
+    strictly increasing, so termination is guaranteed. Every axis's int64
+    contraction c_a is kept current: flipping x_a[j] moves each other c_b
+    by 2 x_a[j] (the new sign) times slice j of axis a contracted with the
+    remaining vectors, O(m n**(m-1)) work per flip.
     """
     m, n = tensor.dims.m, tensor.dims.n
-    typed = tensor.view().astype(np.int64)
-    moved = [np.moveaxis(typed, a, 0) for a in range(m)]
-    others = [[j for j in range(m) if j != a] for a in range(m)]
+    board = tensor.view().astype(np.int64)
+    others = [[b for b in range(m) if b != a] for a in range(m)]
     vectors = np.array(start.vectors, dtype=np.int64)
+    c = np.array([_contract_except(board, vectors, a) for a in range(m)])
     value = evaluate(tensor, start)
     evaluations = 1
     for _ in range(max_sweeps):
-        best_gain = 0
-        best_pos = None
-        for a in range(m):
-            c = _contract(moved[a], vectors[None, others[a]])[0]
-            gains = -2 * vectors[a] * c
-            evaluations += n
-            j = int(gains.argmax())
-            if int(gains[j]) > best_gain:
-                best_gain = int(gains[j])
-                best_pos = (a, j)
-        if best_pos is None:
+        gains = -2 * vectors * c
+        evaluations += m * n
+        a, j = divmod(int(gains.argmax()), n)  # the first maximum: lowest (axis, index)
+        if gains[a, j] <= 0:
             break
-        vectors[best_pos[0], best_pos[1]] *= -1
-        value += best_gain
+        value += int(gains[a, j])
+        vectors[a, j] *= -1
+        piece, rest = np.take(board, j, axis=a), vectors[others[a]]  # axes others[a]
+        for i, b in enumerate(others[a]):
+            c[b] += 2 * vectors[a, j] * _contract_except(piece, rest, i)
     return _checked_result(tensor, value, vectors.astype(np.int8), Method.LOCAL_SEARCH, evaluations)
 
 

@@ -3,9 +3,9 @@
 An order-m tensor with every entry +1 or -1 is the board of the switching
 game; one +/-1 vector per axis encodes the switch states. Entries are
 stored flat in row-major order (axis 0 slowest) as int8, and all +/-1
-arithmetic accumulates in int64, so game values are exact integers.
-Floating point enters only for lp work (real contraction vectors, mixed
-norms).
+arithmetic is exact, in int64 or in float64 (every partial sum is an
+integer of magnitude <= n**m <= MAX_ENTRIES = 2**40 < 2**53). Otherwise
+floating point enters only for lp work (real vectors, mixed norms).
 
 All types are immutable after construction; every operation is a pure
 function, safe to call from concurrent workers.

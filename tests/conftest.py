@@ -410,6 +410,7 @@ def oracle_conjecture_exponent(m: int, p: Exponent, r: Optional[Exponent] = None
 
 
 def oracle_g_lower_bound_formula(m: int, n: int, p) -> float:
+    _check_degree(m, 1)
     pc = as_exponent(p)
     threshold = Fraction(2 * m, m + 1)
     if pc == INF:

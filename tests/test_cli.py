@@ -203,6 +203,15 @@ def test_region_boundary_bad_input_exits_2(args, message, monkeypatch, capsys):
     assert f"gbswitch: error: {message}\n" == capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--grid-points", "-5", "--p-max", "1"], ["--grid-points", "40"], ["--p-max", "12"],
+])
+def test_region_grid_options_without_boundary_exit_2(args, monkeypatch, capsys):
+    code, out = invoke(["region", "--m", "2", "--p", "3", *args], monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.endswith("gbswitch: error: --grid-points and --p-max require --boundary\n")
+
+
 def test_region_conjecture_tagged(monkeypatch):
     code, out = invoke(["region", "--m", "2", "--p", "3/2", "--conjecture"], monkeypatch)
     assert code == 0
@@ -419,10 +428,16 @@ _PINNED_STDOUT = {
         "548d3a2969630c46cd406f071da9d0390c244e2ebb1eb05d83f281f01c66d01f",
     ("verify-bound", "--max-n", "3", "--r", "1,4/3,2,5/2"):
         "a8bda2fbd052bd7c630b3ba59937e4fa989afe2b3261db9dcabfbf510bdd7759",
+    ("scan", "--m", "2", "--n", "32,128", "--method", "local", "--seed", "7"):
+        "ca2c87a7831e883ff8c48fc311595bef6ea47d6278f52eabaa28f30d94d858ba",
+    ("--json", "scan", "--m", "4", "--n", "5", "--method", "greedy", "--seed", "7"):
+        "fad7b748b1e771a5bef748fd53c636c24472a209db4ce4fc2e61e78ce0af2d65",
 }
 
 
 def test_pinned_output_bytes(tmp_path, monkeypatch):
+    # the parser is built once per process: a usage error must leave nothing behind for the next run
+    assert invoke(["--json", "scan", "--m", "2", "--n", "4", "--method", "nope"], monkeypatch)[0] == 2
     board = str(tmp_path / "board.json")
     assert invoke(["gen", "--m", "3", "--n", "4", "--seed", "7", "--out", board], monkeypatch)[0] == 0
     for argv, digest in _PINNED_STDOUT.items():

@@ -176,6 +176,9 @@ def test_g_lower_bound_formula_domain():
         g_lower_bound_formula(2, 5, Fraction(4, 3))
     with pytest.raises(InvalidExponent):
         g_lower_bound_formula(2, 5, 1)
+    for m in (0, -1):  # the degree is checked before the threshold 2m/(m+1) divides by m + 1
+        with pytest.raises(InvalidExponent, match="degree m must be an integer >= 1"):
+            g_lower_bound_formula(m, 5, 3)
     # just above the threshold is fine
     assert g_lower_bound_formula(2, 5, Fraction(4, 3) + Fraction(1, 1000)) > 0
 

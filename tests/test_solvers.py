@@ -31,6 +31,7 @@ from gbswitch import (
     majority_fix,
     make_assignment,
     make_tensor,
+    partial_contraction,
     random_restart_greedy,
     random_tensor,
     sign_rows,
@@ -438,8 +439,9 @@ def test_lower_bound_formula_sampled_m3():
             assert exact_max(t).value >= bound
 
 
-@pytest.mark.parametrize("m,n,seed", [(1, 5, 0), (2, 2, 9), (2, 6, 0), (3, 3, 6), (4, 2, 8)])
+@pytest.mark.parametrize("m,n,seed", [(1, 5, 0), (2, 2, 9), (2, 6, 0), (3, 3, 6), (4, 2, 8), (2, 64, 7), (3, 16, 7)])
 def test_random_restart_greedy_matches_per_restart_loop(monkeypatch, m, n, seed):
+    assert tensor_module.MAX_ENTRIES < 2 ** 53  # so the float64 contractions of +/-1 boards are exact
     board = random_tensor(DimSpec(m, n), generator(seed))
     value, witness, first = greedy_loop(board, 40, seed)
     for bits in (0, 1, 14):
@@ -450,12 +452,22 @@ def test_random_restart_greedy_matches_per_restart_loop(monkeypatch, m, n, seed)
         assert (res.value, res.witness.vectors.tobytes(), res.evaluations) == (value, witness.tobytes(), 40)
 
 
-@pytest.mark.parametrize("m,n", [(1, 4), (2, 5), (2, 9), (3, 3), (4, 2)])
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 5), (2, 9), (3, 3), (4, 2), (2, 64), (3, 12), (4, 5)])
 def test_local_search_matches_per_axis_loop(m, n):
     rng = generator(m, n)
+    cases = []
     for i in range(6):
         board = random_tensor(DimSpec(m, n), rng)
-        start = make_assignment(board.dims, rng.integers(0, 2, (m, n), dtype=np.int8) * 2 - 1)
+        cases.append((board, make_assignment(board.dims, rng.integers(0, 2, (m, n), dtype=np.int8) * 2 - 1)))
+    # the rank-one board u_0 x ... x u_(m-1) from (-u_0, u_1, ...): all m*n first gains tie at 2 n**(m-1)
+    u = make_assignment(DimSpec(m, n), rng.integers(0, 2, (m, n), dtype=np.int8) * 2 - 1)
+    board = apply_switch(make_tensor(u.dims, [1] * n ** m), u)
+    start = make_assignment(u.dims, u.vectors * np.array([-1] + [1] * (m - 1), dtype=np.int8)[:, None])
+    for a in range(m):
+        c = partial_contraction(board, a, [start.vectors[b] for b in range(m) if b != a])
+        assert (-2 * start.vectors[a] * c == 2 * n ** (m - 1)).all()
+    cases.append((board, start))
+    for board, start in cases:
         for max_sweeps in (1, 3, 10_000):
             value, witness, evaluations = local_search_loop(board, start, max_sweeps)
             res = local_search(board, start, max_sweeps)
