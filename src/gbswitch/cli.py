@@ -1,10 +1,10 @@
 """Command-line harness: the only module with side effects.
 
 Emits one CSV (or JSON-lines) record per result. All randomized
-subcommands require --seed and are bit-reproducible; GB_THREADS must be a
-positive integer if set, but schedules nothing. runtime_ms is wall time;
-set GB_FIXED_RUNTIME_MS to pin it for byte-exact output comparisons (the
-same role SOURCE_DATE_EPOCH plays in reproducible builds).
+subcommands require --seed and are bit-reproducible; every command runs on
+one thread. runtime_ms is wall time; set GB_FIXED_RUNTIME_MS to pin it for
+byte-exact output comparisons (the same role SOURCE_DATE_EPOCH plays in
+reproducible builds).
 
 Exit codes: 0 success (no FAIL verdicts), 1 at least one FAIL, 2 usage or
 input error.
@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -34,15 +34,16 @@ PASS = "PASS"
 FAIL = "FAIL"
 INFO = "INFO"
 
-CSV_HEADER = "command,m,n,p,r,seed,method,value,reference,verdict,runtime_ms"
-
 #: Errors reported with exit 2; the package's input errors all subclass ValueError.
 _HANDLED_ERRORS = (BudgetExceeded, OSError, ValueError)
 
 
 @dataclass
 class ExperimentRecord:
-    """One harness output row; verdict PASS/FAIL only under a reference bound."""
+    """One harness output row; verdict PASS/FAIL only under a reference bound.
+
+    The field order is the CSV column order and the JSON key order.
+    """
 
     command: str
     m: Optional[int] = None
@@ -58,24 +59,38 @@ class ExperimentRecord:
     witness: Optional[str] = None
 
 
-def _fmt_number(x) -> str:
+_FIELDS = tuple(field.name for field in fields(ExperimentRecord))
+#: Every column but witness, which is added only when some record has one.
+CSV_HEADER = ",".join(_FIELDS[:-1])
+
+#: Text of a number by its exact type; any other type is a numpy scalar.
+_TEXT = {int: str, float: repr, Fraction: str}
+
+
+def _text(x) -> str:
+    """A field as CSV text: "" for None, exact integers and rationals, else repr of the float."""
     if x is None:
         return ""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(float(x))
+    fmt = _TEXT.get(type(x))
+    if fmt is not None:
+        return fmt(x)
+    return str(int(x)) if isinstance(x, np.integer) else repr(float(x))
 
 
-def _runtime_ms(elapsed: float) -> int:
+def _verdict(ok: Optional[bool]) -> str:
+    """PASS or FAIL for a checked claim, INFO when there is nothing to check."""
+    return INFO if ok is None else PASS if ok else FAIL
+
+
+def _runtime_ms(t0: float) -> int:
+    """Milliseconds since the perf_counter reading t0, or GB_FIXED_RUNTIME_MS when set."""
     fixed = os.environ.get("GB_FIXED_RUNTIME_MS")
     if fixed is not None:
         try:
             return int(fixed)
         except ValueError:
             raise ValueError(f"GB_FIXED_RUNTIME_MS must be an integer, got {fixed!r}") from None
-    return int(round(elapsed * 1000.0))
+    return int(round((time.perf_counter() - t0) * 1000.0))
 
 
 def witness_to_str(assignment: tz.SwitchAssignment) -> str:
@@ -95,43 +110,21 @@ def witness_from_str(text: str, dims: tz.DimSpec) -> tz.SwitchAssignment:
 
 
 def render(records: list[ExperimentRecord], as_json: bool) -> str:
+    """JSON lines with p and r as strings, or CSV under CSV_HEADER (plus witness when some record has one)."""
     if as_json:
-        lines = []
-        for rec in records:
-            lines.append(json.dumps({
-                "command": rec.command,
-                "m": rec.m,
-                "n": rec.n,
-                "p": _fmt_number(rec.p) or None,
-                "r": _fmt_number(rec.r) or None,
-                "seed": rec.seed,
-                "method": rec.method,
-                "value": None if rec.value is None else float(rec.value),
-                "reference": None if rec.reference is None else float(rec.reference),
-                "verdict": rec.verdict,
-                "runtime_ms": rec.runtime_ms,
-                "witness": rec.witness,
-            }, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
-    has_witness = any(rec.witness is not None for rec in records)
-    lines = [CSV_HEADER + (",witness" if has_witness else "")]
-    for rec in records:
-        fields = [
-            rec.command,
-            "" if rec.m is None else str(rec.m),
-            "" if rec.n is None else str(rec.n),
-            _fmt_number(rec.p),
-            _fmt_number(rec.r),
-            "" if rec.seed is None else str(rec.seed),
-            rec.method,
-            _fmt_number(rec.value),
-            _fmt_number(rec.reference),
-            rec.verdict,
-            str(rec.runtime_ms),
-        ]
-        if has_witness:
-            fields.append(rec.witness or "")
-        lines.append(",".join(fields))
+        lines = [json.dumps({
+            **vars(rec),
+            "p": _text(rec.p) or None,
+            "r": _text(rec.r) or None,
+            "value": None if rec.value is None else float(rec.value),
+            "reference": None if rec.reference is None else float(rec.reference),
+        }, separators=(",", ":")) for rec in records]
+    else:
+        width = len(_FIELDS) if any(rec.witness is not None for rec in records) else len(_FIELDS) - 1
+        lines = [",".join(_FIELDS[:width])]
+        # None and str inline: a call for every field would cost a long table a third more
+        lines += (",".join(["" if x is None else x if type(x) is str else _text(x)
+                            for x in list(vars(rec).values())[:width]]) for rec in records)
     return "\n".join(lines) + "\n"
 
 
@@ -296,14 +289,11 @@ def _solve_one(T, args, parser, seed) -> ExperimentRecord:
     res = _SOLVERS[args.method](T, args, seed)
     witness = None if args.method == "alt" else witness_to_str(res.witness)
     reference = _reference_bound(m, n, args.p)
-    if args.method == "exact" and reference is not None:
-        verdict = PASS if res.value >= reference else FAIL
-    else:
-        verdict = INFO
+    checked = args.method == "exact" and reference is not None
     return ExperimentRecord(
         command=args.command, m=m, n=n, p=args.p, seed=seed, method=args.method,
-        value=res.value, reference=reference, verdict=verdict,
-        runtime_ms=_runtime_ms(time.perf_counter() - t0), witness=witness,
+        value=res.value, reference=reference, verdict=_verdict(res.value >= reference if checked else None),
+        runtime_ms=_runtime_ms(t0), witness=witness,
     )
 
 
@@ -330,24 +320,18 @@ def _cmd_ksz(args, parser) -> list[ExperimentRecord]:
     result = experiments.sharpness_experiment(
         args.m, args.p, args.n, args.samples, seed, tol=args.tol, starts=args.starts
     )
-    elapsed = _runtime_ms(time.perf_counter() - t0)
+    elapsed = _runtime_ms(t0)
     records = []
     for s in result.samples:
         reference = _reference_bound(s.m, s.n, s.p)
-        if s.exact and reference is not None:
-            verdict = PASS if s.min_norm >= reference else FAIL
-        else:
-            verdict = INFO
+        checked = s.exact and reference is not None
         records.append(ExperimentRecord(
-            command="ksz", m=s.m, n=s.n, p=s.p, seed=seed, method="min-norm",
-            value=s.min_norm, reference=reference, verdict=verdict, runtime_ms=elapsed,
+            command="ksz", m=s.m, n=s.n, p=s.p, seed=seed, method="min-norm", value=s.min_norm,
+            reference=reference, verdict=_verdict(s.min_norm >= reference if checked else None), runtime_ms=elapsed,
         ))
-    passed = result.passed
     records.append(ExperimentRecord(
-        command="ksz", m=args.m, p=args.p, seed=seed, method="slope",
-        value=result.fit.slope, reference=result.reference,
-        verdict=INFO if passed is None else (PASS if passed else FAIL),
-        runtime_ms=elapsed,
+        command="ksz", m=args.m, p=args.p, seed=seed, method="slope", value=result.fit.slope,
+        reference=result.reference, verdict=_verdict(result.passed), runtime_ms=elapsed,
     ))
     return records
 
@@ -366,19 +350,13 @@ def _cmd_verify_extremal(args, parser) -> list[ExperimentRecord]:
     boards = _all_boards(2)
     values = solvers.exact_max_batch(2, 2, boards)[0]
     classified = [solvers.classify_extremal(tz.make_tensor(tz.DimSpec(2, 2), row)) for row in boards]
-    elapsed = _runtime_ms(time.perf_counter() - t0)
+    elapsed = _runtime_ms(t0)
     ok_sets = (values == 2).tolist() == classified and classified.count(True) == 8
     return [
-        ExperimentRecord(
-            command="verify-extremal", m=2, n=2, p=math.inf, method="min-value",
-            value=int(values.min()), reference=2,
-            verdict=PASS if values.min() >= 2 else FAIL, runtime_ms=elapsed,
-        ),
-        ExperimentRecord(
-            command="verify-extremal", m=2, n=2, p=math.inf, method="extremal-count",
-            value=int((values == 2).sum()), reference=8,
-            verdict=PASS if ok_sets else FAIL, runtime_ms=elapsed,
-        ),
+        ExperimentRecord(command="verify-extremal", m=2, n=2, p=math.inf, method="min-value", value=int(values.min()),
+                         reference=2, verdict=_verdict(values.min() >= 2), runtime_ms=elapsed),
+        ExperimentRecord(command="verify-extremal", m=2, n=2, p=math.inf, method="extremal-count",
+                         value=int((values == 2).sum()), reference=8, verdict=_verdict(ok_sets), runtime_ms=elapsed),
     ]
 
 
@@ -386,6 +364,8 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
     if args.max_n ** 2 > _SWEEP_BITS:
         raise BudgetExceeded(f"--max-n {args.max_n} would tabulate all 2**{args.max_n ** 2} boards; "
                              f"the limit is 2**{_SWEEP_BITS} boards (--max-n {math.isqrt(_SWEEP_BITS)})")
+    if args.m3_samples < 0:
+        raise ValueError(f"--m3-samples must be >= 0, got {args.m3_samples}")
     if args.m3_samples > 0:
         _require_seed(args, parser)
     records = []
@@ -395,10 +375,8 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
         min_by_n[n] = best = int(solvers.exact_max_batch(2, n, _all_boards(n))[0].min())
         reference = n ** 1.5 / bounds.km_constant(2)
         records.append(ExperimentRecord(
-            command="verify-bound", m=2, n=n, p=math.inf, method="norm-lower-bound",
-            value=best, reference=reference,
-            verdict=PASS if best >= reference else FAIL,
-            runtime_ms=_runtime_ms(time.perf_counter() - t0),
+            command="verify-bound", m=2, n=n, p=math.inf, method="norm-lower-bound", value=best,
+            reference=reference, verdict=_verdict(best >= reference), runtime_ms=_runtime_ms(t0),
         ))
     n = args.blowup_n
     if n not in min_by_n:
@@ -408,14 +386,15 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
         # over boards is attained at the minimum exact value
         t0 = time.perf_counter()
         expo = bounds.blowup_exponent(2, math.inf, r)
-        lhs = float(n * n) ** (1.0 / float(r))
+        try:
+            lhs = float(n * n) ** (1.0 / float(r))
+        except OverflowError:
+            raise InvalidExponent("--r is too large for a float (above about 1.8e308)") from None
         worst = lhs / (float(n) ** float(expo) * min_by_n[n])
         reference = bounds.km_constant(2)
         records.append(ExperimentRecord(
-            command="verify-bound", m=2, n=n, p=math.inf, r=r, method="blowup-check",
-            value=worst, reference=reference,
-            verdict=PASS if worst <= reference else FAIL,
-            runtime_ms=_runtime_ms(time.perf_counter() - t0),
+            command="verify-bound", m=2, n=n, p=math.inf, r=r, method="blowup-check", value=worst,
+            reference=reference, verdict=_verdict(worst <= reference), runtime_ms=_runtime_ms(t0),
         ))
     if args.m3_samples > 0:
         t0 = time.perf_counter()
@@ -423,10 +402,8 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
         best = int(solvers.exact_max_batch(3, 3, boards)[0].min())
         reference = 3.0 ** 2 / bounds.km_constant(3)
         records.append(ExperimentRecord(
-            command="verify-bound", m=3, n=3, p=math.inf, seed=args.seed, method="sampled-bound",
-            value=best, reference=reference,
-            verdict=PASS if best >= reference else FAIL,
-            runtime_ms=_runtime_ms(time.perf_counter() - t0),
+            command="verify-bound", m=3, n=3, p=math.inf, seed=args.seed, method="sampled-bound", value=best,
+            reference=reference, verdict=_verdict(best >= reference), runtime_ms=_runtime_ms(t0),
         ))
     return records
 
@@ -436,10 +413,8 @@ def _cmd_constants(args, parser) -> list[ExperimentRecord]:
     for m in args.m:
         t0 = time.perf_counter()
         value = bounds.bh_asymptotic_constant(m)
-        records.append(ExperimentRecord(
-            command="constants", m=m, method="bh-constant", value=value,
-            verdict=INFO, runtime_ms=_runtime_ms(time.perf_counter() - t0),
-        ))
+        records.append(ExperimentRecord(command="constants", m=m, method="bh-constant", value=value,
+                                        runtime_ms=_runtime_ms(t0)))
     return records
 
 
@@ -454,53 +429,35 @@ def _cmd_region(args, parser) -> list[ExperimentRecord]:
         t0 = time.perf_counter()
         bounds._check_degree(m, 2)
         points = 40 if args.grid_points is None else args.grid_points
-        p_max = Fraction(12) if args.p_max in (None, math.inf) else args.p_max
+        p_max = Fraction(12) if args.p_max is None else args.p_max
         threshold = bounds._unimodular_threshold(m)
         if points < 2:
             raise ValueError(f"--grid-points must be >= 2, got {points}")
+        if p_max == math.inf:
+            raise InvalidExponent("--p-max must be finite, got inf")
         if p_max <= threshold:
             raise InvalidExponent(f"--p-max must be > 2m/(m+1) = {threshold}, got {p_max}")
-        for i in range(1, points + 1):
-            p_i = 1 + i * Fraction(1, points)  # lower curve lives on (1, 2]
-            records.append(ExperimentRecord(
-                command="region", m=m, p=p_i, method="lower-curve",
-                value=float(bounds._lower(m, bounds._inverse(p_i))), verdict=INFO,
-                runtime_ms=_runtime_ms(time.perf_counter() - t0),
-            ))
-        step = (p_max - threshold) / points
-        for i in range(1, points + 1):
-            p_i = threshold + i * step
-            records.append(ExperimentRecord(
-                command="region", m=m, p=p_i, method="sharp-curve",
-                value=float(bounds._sharp(m, bounds._inverse(p_i))), verdict=INFO,
-                runtime_ms=_runtime_ms(time.perf_counter() - t0),
-            ))
+        # the lower curve lives on (1, 2], the sharp curve on (2m/(m+1), p_max]
+        for method, lo, hi, formula in (("lower-curve", Fraction(1), Fraction(2), bounds._lower),
+                                        ("sharp-curve", threshold, p_max, bounds._sharp)):
+            step = (hi - lo) / points
+            for i in range(1, points + 1):
+                p_i = lo + i * step
+                value = float(formula(m, bounds._inverse(p_i)))
+                records.append(ExperimentRecord(command="region", m=m, p=p_i, method=method, value=value,
+                                                runtime_ms=_runtime_ms(t0)))
     if args.p is not None:
         t0 = time.perf_counter()
         verdict = bounds.unimodular_sharp_exponent(m, args.p)
-        if args.r is not None:
-            kind = bounds.classify_point(m, args.p, args.r)
-            method = kind.value
-        else:
-            method = verdict.kind.value
-        if verdict.sharp_exponent is not None:
-            value, reference = float(verdict.sharp_exponent), float(verdict.sharp_exponent)
-        else:
-            lo, hi = verdict.interval
-            value, reference = float(lo), float(hi)
-        records.append(ExperimentRecord(
-            command="region", m=m, p=args.p, r=args.r, method=method,
-            value=value, reference=reference, verdict=INFO,
-            runtime_ms=_runtime_ms(time.perf_counter() - t0),
-        ))
+        kind = verdict.kind if args.r is None else bounds.classify_point(m, args.p, args.r)
+        lo, hi = verdict.interval if verdict.sharp_exponent is None else (verdict.sharp_exponent,) * 2
+        records.append(ExperimentRecord(command="region", m=m, p=args.p, r=args.r, method=kind.value,
+                                        value=float(lo), reference=float(hi), runtime_ms=_runtime_ms(t0)))
         if args.conjecture:
             conj = bounds.conjecture_exponent(m, args.p)
-            records.append(ExperimentRecord(
-                command="region", m=m, p=args.p, method="conjecture-UNVERIFIED",
-                value=None if conj == math.inf else float(conj),
-                reference=None, verdict=INFO,
-                runtime_ms=_runtime_ms(time.perf_counter() - t0),
-            ))
+            value = None if conj == math.inf else float(conj)
+            records.append(ExperimentRecord(command="region", m=m, p=args.p, method="conjecture-UNVERIFIED",
+                                            value=value, runtime_ms=_runtime_ms(t0)))
     return records
 
 
@@ -509,10 +466,7 @@ def _cmd_gen(args, parser) -> list[ExperimentRecord]:
     t0 = time.perf_counter()
     T = _random_board(tz.DimSpec(args.m, args.n), mix(seed))
     tz.write_tensor(args.out, T)
-    return [ExperimentRecord(
-        command="gen", m=args.m, n=args.n, seed=seed, method="gen",
-        verdict=INFO, runtime_ms=_runtime_ms(time.perf_counter() - t0),
-    )]
+    return [ExperimentRecord(command="gen", m=args.m, n=args.n, seed=seed, method="gen", runtime_ms=_runtime_ms(t0))]
 
 
 _COMMANDS = {

@@ -12,12 +12,11 @@ Sample minima therefore nest (more samples can only lower the minimum for
 the same root seed). The boards are drawn by ``rng.sign_draws`` in blocks
 of at most ``_BLOCK_ENTRIES`` entries, so memory does not grow with the
 sample count; exact norms take one ``exact_max_batch`` call per block, on
-the calling thread. GB_THREADS is only validated.
+the calling thread.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -32,14 +31,6 @@ from .tensor import DimSpec, make_tensor
 
 #: The boards of one block of samples hold at most this many entries.
 _BLOCK_ENTRIES = 1 << 20
-
-
-def worker_count() -> int:
-    """GB_THREADS, a positive integer, 1 when unset (else ValueError); it schedules nothing."""
-    raw = os.environ.get("GB_THREADS", "").strip() or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"GB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,6 @@ def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int =
         raise ValueError(f"samples must be >= 1, got {samples}")
     pc = as_exponent(p)
     exact = pc == INF and (n * (m - 1) - 1) <= EXACT_BUDGET_BITS
-    worker_count()  # a malformed GB_THREADS fails loudly
     dims = DimSpec(m, n)
     block = max(1, _BLOCK_ENTRIES // dims.size)
     minima = []
@@ -146,6 +136,8 @@ def sharpness_experiment(
     only issued when every norm is exact (p = inf within budget); estimated
     norms are lower bounds, so their minima cannot certify sharpness.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     norm_samples = tuple(sample_min_norm(m, n, p, samples, seed, starts=starts) for n in n_values)
     fit = fit_exponent((s.n, s.min_norm) for s in norm_samples)
     reference = float(ksz_exponent(m, p))

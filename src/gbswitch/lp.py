@@ -84,7 +84,10 @@ def _exponent_float(p) -> float:
     pc = as_exponent(p)
     if pc < 1:
         raise InvalidExponent(f"lp exponent must satisfy p >= 1, got {pc}")
-    return float(pc)
+    try:
+        return float(pc)
+    except OverflowError:
+        raise InvalidExponent("lp exponent p is too large for a float (above about 1.8e308); use inf") from None
 
 
 def _dual_coords(c: np.ndarray, pf: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,6 +155,8 @@ def alternating_max(
         raise ValueError(f"starts must be >= 1, got {starts}")
     if sweeps_max < 1:
         raise ValueError(f"sweeps_max must be >= 1, got {sweeps_max}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     m, n = tensor.dims.m, tensor.dims.n
     typed = tensor.view().astype(np.float64)
     moved = [np.moveaxis(typed, k, 0) for k in range(m)]

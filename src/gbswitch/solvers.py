@@ -22,6 +22,7 @@ Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +265,8 @@ def local_search(tensor: SignTensor, start: SwitchAssignment, max_sweeps: int = 
     by 2 x_a[j] (the new sign) times slice j of axis a contracted with the
     remaining vectors, O(m n**(m-1)) work per flip.
     """
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     m, n = tensor.dims.m, tensor.dims.n
     board = tensor.view().astype(np.int64)
     others = [[b for b in range(m) if b != a] for a in range(m)]
@@ -285,22 +288,10 @@ def local_search(tensor: SignTensor, start: SwitchAssignment, max_sweeps: int = 
     return _checked_result(tensor, value, vectors.astype(np.int8), Method.LOCAL_SEARCH, evaluations)
 
 
-# The eight 2x2 boards whose exact value is 2**(-1/2) * n**(3/2) = 2: the
-# sign patterns with entry product -1 (row-major).
-_EXTREMAL_FLAT = (
-    (1, 1, 1, -1), (-1, -1, -1, 1),
-    (1, 1, -1, 1), (-1, -1, 1, -1),
-    (1, -1, 1, 1), (-1, 1, -1, -1),
-    (-1, 1, 1, 1), (1, -1, -1, -1),
-)
-
-
 def classify_extremal(tensor: SignTensor) -> bool:
     """True iff the board is 2x2 and attains the minimal exact value 2.
 
-    Exactly eight boards qualify (each equal to one listed pattern or its
-    negative); no board of any other size attains 2**(-1/2) * n**(3/2).
+    Exactly eight boards qualify: the 2x2 sign patterns with entry product
+    -1. No board of any other size attains 2**(-1/2) * n**(3/2).
     """
-    if tensor.dims.m != 2 or tensor.dims.n != 2:
-        return False
-    return tuple(int(e) for e in tensor.entries) in _EXTREMAL_FLAT
+    return (tensor.dims.m, tensor.dims.n) == (2, 2) and math.prod(tensor.entries.tolist()) == -1

@@ -308,14 +308,9 @@ def from_json_dict(obj) -> SignTensor:
     return make_tensor(dims, entries)
 
 
-def dump_json(tensor: SignTensor) -> str:
-    return json.dumps(to_json_dict(tensor), separators=(",", ":"))
-
-
 def write_tensor(path, tensor: SignTensor) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_json(tensor))
-        fh.write("\n")
+        fh.write(json.dumps(to_json_dict(tensor), separators=(",", ":")) + "\n")
 
 
 def read_tensor(path) -> SignTensor:

@@ -2,17 +2,22 @@ import hashlib
 import io
 import json
 import math
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import alternating_max_loop, sign_draws_loop
 from gbswitch import DimSpec, evaluate, km_constant, read_tensor
 from gbswitch import cli, experiments, lp, rng, solvers
 from gbswitch.cli import (
     CSV_HEADER,
+    build_parser,
     parse_exponent,
+    parse_exponent_list,
+    parse_int_list,
     parse_n_values,
     run,
     witness_from_str,
@@ -310,15 +315,6 @@ def test_determinism_across_workers(cf_file, monkeypatch, tmp_path):
     assert outputs["1"] == outputs["4"]
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_gb_threads_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("GB_THREADS", value)
-    code, out = invoke(["ksz", "--m", "2", "--n", "2:3", "--samples", "4", "--seed", "1"], monkeypatch)
-    assert code == 2
-    assert out == ""
-    assert "GB_THREADS" in capsys.readouterr().err
-
-
 def test_bad_fixed_runtime_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("GB_FIXED_RUNTIME_MS", "abc")
     code, out = invoke(["verify-extremal"], monkeypatch, fixed_runtime=False)
@@ -432,6 +428,14 @@ _PINNED_STDOUT = {
         "ca2c87a7831e883ff8c48fc311595bef6ea47d6278f52eabaa28f30d94d858ba",
     ("--json", "scan", "--m", "4", "--n", "5", "--method", "greedy", "--seed", "7"):
         "fad7b748b1e771a5bef748fd53c636c24472a209db4ce4fc2e61e78ce0af2d65",
+    ("solve", "--method", "greedy", "--seed", "5", "--input", "{board}"):
+        "3f8bd02b9c11bb4cbb9982b680c7b63c676c0ff51483d4fd9c5c8dfa82dc5111",
+    ("--json", "verify-bound", "--max-n", "3", "--r", "1,5/2"):
+        "8bc8957d151a46fc41c82bdf9e542857daf0cf7b38279ce9a19926507258fa37",
+    ("--json", "ksz", "--m", "2", "--n", "3:4", "--samples", "20", "--seed", "7"):
+        "5da653fa5254bf41c149ca0b83cbd6b01f3bde1a5c147d9b0182e70b7e9fb34c",
+    ("--json", "constants", "--m", "1,2"):
+        "ee31ecedf4e0188bf7dda05b0f66cf6e813c6b7f7a42114a13ca505da4c4f401",
 }
 
 
@@ -443,3 +447,99 @@ def test_pinned_output_bytes(tmp_path, monkeypatch):
     for argv, digest in _PINNED_STDOUT.items():
         code, out = invoke([arg.format(board=board) for arg in argv], monkeypatch)
         assert (code, hashlib.sha256(out.encode("ascii")).hexdigest()) == (0, digest), argv
+
+
+_TOO_LARGE_FOR_A_FLOAT = "lp exponent p is too large for a float (above about 1.8e308); use inf"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["scan", "--m", "2", "--n", "3", "--method", "alt", "--p", "1e400", "--seed", "1"],
+                 _TOO_LARGE_FOR_A_FLOAT, id="scan-p-1e400"),
+    pytest.param(["ksz", "--m", "2", "--p", "1e400", "--n", "2:3", "--samples", "2", "--seed", "1"],
+                 _TOO_LARGE_FOR_A_FLOAT, id="ksz-p-1e400"),
+    pytest.param(["verify-bound", "--max-n", "3", "--r", "1e400"],
+                 "--r is too large for a float (above about 1.8e308)", id="verify-bound-r-1e400"),
+    pytest.param(["scan", "--m", "2", "--n", "4", "--seed", "1", "--method", "local", "--max-flips", "-1"],
+                 "max_sweeps must be >= 0, got -1", id="local-max-flips-negative"),
+    pytest.param(["scan", "--m", "2", "--n", "4", "--seed", "1", "--method", "alt", "--p", "2", "--tol", "-1"],
+                 "tol must be >= 0, got -1.0", id="alt-tol-negative"),
+    pytest.param(["scan", "--m", "2", "--n", "4", "--seed", "1", "--method", "alt", "--p", "2", "--tol", "nan"],
+                 "tol must be >= 0, got nan", id="alt-tol-nan"),
+    pytest.param(["ksz", "--m", "2", "--n", "2:3", "--samples", "4", "--seed", "1", "--tol", "-1"],
+                 "tol must be >= 0, got -1.0", id="ksz-tol-negative"),
+    pytest.param(["ksz", "--m", "2", "--n", "2:3", "--samples", "4", "--seed", "1", "--tol", "nan"],
+                 "tol must be >= 0, got nan", id="ksz-tol-nan"),
+    pytest.param(["verify-bound", "--max-n", "2", "--blowup-n", "2", "--m3-samples", "-5"],
+                 "--m3-samples must be >= 0, got -5", id="m3-samples-negative"),
+    pytest.param(["region", "--m", "2", "--boundary", "--p-max", "inf"],
+                 "--p-max must be finite, got inf", id="p-max-inf"),
+])
+def test_out_of_range_input_exits_2(argv, message, monkeypatch, capsys):
+    code, out = invoke(argv, monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"gbswitch: error: {message}\n"
+
+
+_HUGE = str(10 ** 30)
+#: Odd values tried for one option per run: zero, negatives, nan, infinities, a fraction, huge numbers.
+_ODD_VALUES = ("0", "-1", "-3", "nan", "inf", "-inf", "1/2", "1e400", "-1e400", "-" + _HUGE, _HUGE)
+#: Ordinary values for the other options, by option type.
+_USUAL_VALUES = {
+    int: ("0", "1", "2", "5", _HUGE),
+    float: ("0", "0.2", "10", "inf"),
+    parse_exponent: ("inf", "1", "4/3", "2", "3", "12", "1e400"),
+    parse_n_values: ("2:4", "3", "2,5"),
+    parse_int_list: ("1,2", "3"),
+    parse_exponent_list: ("1,4/3", "2"),
+}
+#: Options that set the work done, with the largest size drawn for each; none is drawn huge.
+_SIZE_CAPS = {"m": 3, "n": 5, "samples": 8, "restarts": 8, "starts": 8, "sweeps_max": 8,
+              "grid_points": 10, "m3_samples": 8, "max_n": 4}
+_SUBPARSERS = next(action for action in build_parser()._actions if action.dest == "command").choices
+
+
+def _option_value(data, action, odd: bool) -> str:
+    cap = _SIZE_CAPS.get(action.dest)
+    if odd:
+        return data.draw(st.sampled_from([v for v in _ODD_VALUES if cap is None or v != _HUGE]))
+    if cap is not None and action.type is int:
+        return str(data.draw(st.integers(1, cap)))
+    return data.draw(st.sampled_from(_USUAL_VALUES[action.type]))
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(command, data, tmp_path_factory):
+    """No argv drawn from the parser's own options escapes run(), and each exit code keeps its contract."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    board = folder / "board.json"
+    board.write_text('{"m":2,"n":3,"entries":[1,1,-1,1,-1,1,-1,1,1]}\n')
+    options = [action for action in _SUBPARSERS[command]._actions
+               if action.option_strings and action.dest not in ("help", "json", "output")]
+    odd = data.draw(st.sampled_from([None, *(action.dest for action in options if action.type)]))
+    argv = ["--json", command] if data.draw(st.booleans()) else [command]
+    for action in options:
+        if not action.required and action.dest != odd and data.draw(st.integers(0, 3)) == 0:
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
+        if action.dest in ("input", "out"):
+            value = str(board if action.dest == "input" else folder / "gen.json")
+        elif action.choices:
+            value = data.draw(st.sampled_from(list(action.choices)))
+        else:
+            value = _option_value(data, action, odd=action.dest == odd)
+        argv += [action.option_strings[0], value]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    text = out.getvalue()
+    if code == 2:
+        assert text == "" and err.getvalue(), argv
+    elif argv[0] == "--json":
+        assert text and all(json.loads(line) for line in text.splitlines()), argv
+    else:
+        assert text.startswith(CSV_HEADER), argv

@@ -155,3 +155,9 @@ def test_sharpness_experiment_m3_two_points():
 def test_sharpness_experiment_no_spread():
     with pytest.raises(DegenerateInput):
         sharpness_experiment(2, math.inf, [2, 2], 5, 0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_sharpness_experiment_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        sharpness_experiment(2, math.inf, [2, 3], 5, 0, tol=tol)

@@ -163,6 +163,21 @@ def test_alternating_max_trace_counts():
     assert res.trace.sweeps == 1
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, -math.inf])
+def test_alternating_max_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        alternating_max(CF, 2, tol=tol)
+
+
+def test_alternating_max_edge_tol_and_huge_p():
+    for tol in (0.0, math.inf):
+        assert alternating_max(CF, 2, starts=2, tol=tol).value > 0
+    with pytest.raises(InvalidExponent, match="too large for a float"):
+        alternating_max(CF, Fraction(10) ** 400)
+    with pytest.raises(InvalidExponent, match="too large for a float"):
+        dual_update([1.0, 2.0], Fraction(10) ** 400)
+
+
 def test_g_lower_bound_formula_values():
     # frozen by direct high-precision evaluation of n**((mp+p-2m)/(2p)) / (1.3 m**0.365)
     assert g_lower_bound_formula(2, 2, math.inf) == pytest.approx(1.6893735596723845, rel=1e-12)

@@ -335,6 +335,13 @@ def test_local_search_climbs_out():
     assert res.value == 2
 
 
+def test_local_search_budget_domain():
+    start = make_assignment(D22, [[-1, 1], [1, 1]])
+    assert local_search(CF, start, max_sweeps=0).value == -2  # a zero budget returns the start
+    with pytest.raises(ValueError, match="max_sweeps must be >= 0, got -1"):
+        local_search(CF, start, max_sweeps=-1)
+
+
 def test_local_search_bounded_by_exact():
     rng = generator(31)
     dims = DimSpec(2, 5)
@@ -370,6 +377,10 @@ def test_classify_extremal_lists_exactly_eight():
 
 def test_classify_extremal_other_sizes():
     assert not classify_extremal(make_tensor(DimSpec(2, 3), [1] * 9))
+    # entry product -1 is not enough off the 2x2 size
+    assert not classify_extremal(make_tensor(DimSpec(2, 3), [-1] + [1] * 8))
+    assert not classify_extremal(make_tensor(DimSpec(1, 4), [1, 1, -1, 1]))
+    assert not classify_extremal(make_tensor(DimSpec(3, 2), [1] * 7 + [-1]))
     assert not classify_extremal(random_tensor(DimSpec(3, 2), generator(2)))
     # no 3x3 board can attain 2**(-1/2) * 3**(3/2): the value is an odd integer
     assert all(exact_max(b).value != 2 ** (-0.5) * 3**1.5 for b in list(all_boards(3))[:64])
