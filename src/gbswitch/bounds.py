@@ -291,8 +291,7 @@ def bh_asymptotic_constant(m: int) -> float:
     Evaluated as 2**(H_m - 1) * prod_{k=2}^m Gamma(3/2)/Gamma((3k-2)/(2k)),
     where the harmonic number H_m equals psi(m+1) + gamma.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_degree(m, 1)
     lg32 = log_gamma(1.5)
     gamma_terms = [lg32 - log_gamma((3 * k - 2) / (2 * k)) for k in range(2, m + 1)]
     return math.exp(math.fsum(gamma_terms) + (harmonic(m) - 1.0) * math.log(2.0))
@@ -304,6 +303,5 @@ def km_constant(m: int) -> float:
     The 0.365 power is the standard rounding of the exact exponent
     (2 - ln 2 - gamma)/2, exposed as KM_EXPONENT_LIMIT.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_degree(m, 1)
     return 1.3 * m ** 0.365

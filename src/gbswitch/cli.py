@@ -143,24 +143,15 @@ def parse_exponent(text: str):
 
 
 def parse_n_values(text: str) -> list[int]:
-    """'2:6' (inclusive range), '2,3,5', or a single integer."""
-    t = text.strip()
+    """'2:6' (inclusive range), '2,3,5', or a single integer; a nonempty list of n >= 1."""
+    lo, colon, hi = text.partition(":")
     try:
-        if ":" in t:
-            lo_s, hi_s = t.split(":", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo or lo < 1:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        if "," in t:
-            values = [int(x) for x in t.split(",")]
-        else:
-            values = [int(t)]
-        if any(v < 1 for v in values):
-            raise ValueError
-        return values
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid n specification {text!r}") from exc
+        values = list(range(int(lo), int(hi) + 1)) if colon else [int(x) for x in lo.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"invalid n specification {text!r}")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -368,6 +359,8 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
         raise ValueError(f"--m3-samples must be >= 0, got {args.m3_samples}")
     if args.m3_samples > 0:
         _require_seed(args, parser)
+    if not 2 <= args.blowup_n <= args.max_n:
+        parser.error("--blowup-n must be within --max-n")
     records = []
     min_by_n = {}
     for n in range(2, args.max_n + 1):
@@ -379,8 +372,6 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
             reference=reference, verdict=_verdict(best >= reference), runtime_ms=_runtime_ms(t0),
         ))
     n = args.blowup_n
-    if n not in min_by_n:
-        parser.error("--blowup-n must be within --max-n")
     for r in args.r:
         # every sign board has sum |a|^r = n^2 exactly, so the worst ratio
         # over boards is attained at the minimum exact value
@@ -398,8 +389,7 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
         ))
     if args.m3_samples > 0:
         t0 = time.perf_counter()
-        boards = sign_draws(mix(args.seed, 3, np.arange(args.m3_samples, dtype=np.uint64)), 1, 3 ** 3)[:, 0]
-        best = int(solvers.exact_max_batch(3, 3, boards)[0].min())
+        best = int(experiments.sample_min_norm(3, 3, math.inf, args.m3_samples, args.seed).min_norm)
         reference = 3.0 ** 2 / bounds.km_constant(3)
         records.append(ExperimentRecord(
             command="verify-bound", m=3, n=3, p=math.inf, seed=args.seed, method="sampled-bound", value=best,
@@ -454,10 +444,10 @@ def _cmd_region(args, parser) -> list[ExperimentRecord]:
         records.append(ExperimentRecord(command="region", m=m, p=args.p, r=args.r, method=kind.value,
                                         value=float(lo), reference=float(hi), runtime_ms=_runtime_ms(t0)))
         if args.conjecture:
-            conj = bounds.conjecture_exponent(m, args.p)
+            conj = bounds.conjecture_exponent(m, args.p, args.r)
             value = None if conj == math.inf else float(conj)
-            records.append(ExperimentRecord(command="region", m=m, p=args.p, method="conjecture-UNVERIFIED",
-                                            value=value, runtime_ms=_runtime_ms(t0)))
+            records.append(ExperimentRecord(command="region", m=m, p=args.p, r=args.r,
+                                            method="conjecture-UNVERIFIED", value=value, runtime_ms=_runtime_ms(t0)))
     return records
 
 

@@ -4,8 +4,9 @@ With all axes but one frozen, the form is linear in the remaining vector
 and its maximizer over the lp ball has a closed form through Holder
 duality. Cycling that update over the axes gives a monotone ascent (a
 higher-order power iteration, De Lathauwer et al. 2000); the terminal
-witness is feasible, so the achieved value is a certified lower bound on
-the true lp game value (never claimed to attain it).
+witness is feasible, so the achieved value is a lower bound on the true
+lp game value up to float rounding: it is computed in float64 and may sit
+a few ulp above the exact value at the witness (never claimed to attain it).
 
 The random starts of one solve are stacked: the board is cast to float64
 once, each axis update contracts every live start at once

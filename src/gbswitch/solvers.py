@@ -9,7 +9,7 @@ Sahni): each prefix (signs of axes 0..m-3) contracts the board to an n x n
 matrix M, and axis m-2 splits into halves whose partial sums H = S_hi @ M_hi
 and L = S_lo @ M_lo are tabulated once by doubling trees, so c = H[hi] + L[lo]
 costs about n operations per assignment. A block (boards x prefixes x high
-halves x every low half, within max(2**_CHUNK_BITS * n, n**(m-1)) elements)
+halves x every low half, within max(2**_STACK_BITS * n, n**(m-1)) elements)
 is laid out board-minor, (prefix, high, n, low, board). Index order (prefix,
 high, low), most significant bit first, is lexicographic witness order (-1
 before +1); a board moves to a later block's first argmax only if strictly
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, LengthMismatch, NonUnimodularEntry
+from .errors import BudgetExceeded, LengthMismatch
 from .rng import mix, sign_draws
 from .tensor import (
     DimSpec,
@@ -36,15 +36,13 @@ from .tensor import (
     evaluate,
     make_assignment,
     partial_contraction,
+    _STACK_BITS,
     _stack_rows,
     _validate_signs,
 )
 
 #: Refuse exact enumeration beyond 2**30 assignments unless overridden.
 EXACT_BUDGET_BITS = 30
-
-#: The exact kernel scores about 2**_CHUNK_BITS assignments per block.
-_CHUNK_BITS = 14
 
 
 class Method(enum.Enum):
@@ -121,16 +119,17 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
                              "pass allow_large=True to force")
     if m == 1:
         return np.full(len(boards), n, dtype=np.int64), _sign_of(boards).reshape(-1, 1, n)
-    dtype = np.int32 if n ** m < 2 ** 31 else np.int64
+    if n ** m >= 2 ** 31:  # such a board has >= 2**56 assignments (m = 20, n = 3): no int64 run could end
+        raise BudgetExceeded(f"n**m = {n}**{m} is 2**31 or more, beyond the exact kernel's int32 sums")
     kbits = n - 1 if m == 2 else n  # free bits of axis m-2; the rest are prefix bits
-    pbits, lbits = nbits - kbits, min(kbits // 2, _CHUNK_BITS)
+    pbits, lbits = nbits - kbits, min(kbits // 2, _STACK_BITS)
     hbits = kbits - lbits
-    pblock, hblock = max(0, min(pbits, _CHUNK_BITS - kbits)), min(hbits, max(0, _CHUNK_BITS - lbits))
-    bblock = 1 << max(0, _CHUNK_BITS - nbits)
+    pblock, hblock = max(0, min(pbits, _STACK_BITS - kbits)), min(hbits, max(0, _STACK_BITS - lbits))
+    bblock = 1 << max(0, _STACK_BITS - nbits)
     best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)
     witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
-        view = boards[b0:b0 + bblock].T.astype(dtype, order="C")  # (n**m, B), board-minor
+        view = boards[b0:b0 + bblock].T.astype(np.int32, order="C")  # (n**m, B), board-minor
         width = view.shape[1]
         for p0 in range(0, 1 << pbits, 1 << pblock):
             rows = _prefix_matrices(view, m, n, pbits, p0, pblock).swapaxes(0, 1)  # (n, P, n, B): rows of axis m-2
@@ -142,7 +141,7 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
                                 + [(h0 >> b & 1) * 2 - 1 for b in range(hbits - 1, hblock - 1, -1)], np.int8)
                 hi = mid + (head @ rows[:len(head)].reshape(len(head), zero.size)).reshape(zero.shape)[:, None]
                 sums = hi[:, :, :, None] + lo[:, None]  # (P, 2**hblock, n, 2**lbits, B)
-                values = np.abs(sums, out=sums).sum(axis=2, dtype=dtype).reshape(-1, width)
+                values = np.abs(sums, out=sums).sum(axis=2, dtype=np.int32).reshape(-1, width)
                 k = values.argmax(axis=0)
                 if width > 1:  # boards that share a block have no other block
                     best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=0), k
@@ -150,9 +149,9 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
                     # k counts (prefix, high, low) from (p0, h0, 0): a block has one prefix or every high half
                     best[b0], index[b0] = values[k[0], 0], k[0] + ((p0 << kbits) | (h0 << lbits))
         partial = _signs_at(index[b0:b0 + bblock] | 1 << nbits, nbits + 1)  # top bit: x0[0] = 1
-        c, cols = view, partial.T.astype(dtype, order="C")
+        c, cols = view, partial.T.astype(np.int32, order="C")
         for a in range(m - 1):
-            c = (c.reshape(n, -1, width) * cols[a * n:(a + 1) * n, None]).sum(axis=0, dtype=dtype)
+            c = (c.reshape(n, -1, width) * cols[a * n:(a + 1) * n, None]).sum(axis=0, dtype=np.int32)
         witnesses[b0:b0 + bblock] = np.concatenate((partial.reshape(-1, m - 1, n), _sign_of(c.T)[:, None]), axis=1)
     return best, witnesses
 
@@ -162,8 +161,8 @@ def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
 
     Runs the split kernel (see the module docstring) on a one-board stack;
     refuses instances with n(m-1)-1 > EXACT_BUDGET_BITS unless
-    ``allow_large`` is set. Sums are int32 when n**m < 2**31, else int64;
-    both are exact, as every |c_i| <= n**(m-1) and every sum|c| <= n**m.
+    ``allow_large`` is set. Sums are int32, exact as every |c_i| <= n**(m-1)
+    and every sum|c| <= n**m < 2**31; larger boards are refused.
     """
     m, n = tensor.dims.m, tensor.dims.n
     values, witnesses = _exact_kernel(m, n, tensor.entries[None], allow_large)
@@ -184,7 +183,7 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("exact_max_batch needs at least one board")
     _validate_signs(boards)
     values, witnesses = _exact_kernel(m, n, boards)
-    step = 1 << max(0, _CHUNK_BITS + 1 - n * (m - 1))
+    step = 1 << max(0, _STACK_BITS + 1 - n * (m - 1))
     for b0 in range(0, len(boards), step):
         cur = boards[b0:b0 + step].T.astype(np.int64, order="C")  # (n**m, B), as in the kernel
         cols = witnesses[b0:b0 + step].transpose(1, 2, 0).astype(np.int64, order="C")
@@ -203,8 +202,7 @@ def majority_fix(tensor: SignTensor, partial) -> tuple[np.ndarray, int]:
     """
     vecs = [np.asarray(v) for v in partial]
     for v in vecs:
-        if not np.isin(v, (-1, 1)).all():
-            raise NonUnimodularEntry("majority_fix requires +/-1 partial vectors")
+        _validate_signs(v)
     c = partial_contraction(tensor, tensor.dims.m - 1, vecs)
     return _sign_of(c), int(np.abs(c).sum())
 

@@ -47,7 +47,8 @@ class DimSpec:
             raise TypeError("m and n must be int")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m and n must be positive, got m={self.m} n={self.n}")
-        if self.n ** self.m > MAX_ENTRIES:
+        # every n >= 2 with m >= 41 exceeds 2**40: decide that before computing n**m
+        if self.n > 1 and (self.m >= MAX_ENTRIES.bit_length() or self.n ** self.m > MAX_ENTRIES):
             raise SizeOverflow(f"n**m = {self.n}**{self.m} exceeds 2**40")
 
     @property
@@ -102,13 +103,8 @@ class SwitchAssignment:
 
 
 def _validate_signs(arr: np.ndarray) -> None:
-    ok = (
-        arr.dtype != np.bool_
-        and np.issubdtype(arr.dtype, np.number)
-        and not np.issubdtype(arr.dtype, np.complexfloating)
-        and bool((np.abs(arr) == 1).all())
-    )
-    if not ok:
+    """Raise NonUnimodularEntry unless ``arr`` is a real int, uint or float array of +1 and -1."""
+    if not (arr.dtype.kind in "iuf" and bool((np.abs(arr) == 1).all())):
         head = arr.reshape(-1)[:4].tolist()
         raise NonUnimodularEntry(f"entries must be +1 or -1, got dtype {arr.dtype} with values {head}")
 

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import alternating_max_loop, sign_draws_loop
-from gbswitch import DimSpec, evaluate, km_constant, read_tensor
+from gbswitch import DimSpec, conjecture_exponent, evaluate, km_constant, read_tensor
 from gbswitch import cli, experiments, lp, rng, solvers
 from gbswitch.cli import (
     CSV_HEADER,
@@ -56,6 +58,18 @@ def test_parse_n_values():
     assert parse_n_values("4") == [4]
     with pytest.raises(Exception):
         parse_n_values("6:2")
+
+
+@pytest.mark.parametrize("text, values", [
+    ("2:6", [2, 3, 4, 5, 6]), ("2,3,5", [2, 3, 5]), (" 3 ", [3]), ("1:1", [1]),
+    ("3:2", None), ("0:2", None), ("2,0", None), ("2:3:4", None), ("", None), ("2,,3", None), ("-1", None),
+])
+def test_parse_n_values_accepts_and_rejects(text, values):
+    if values is not None:
+        assert parse_n_values(text) == values
+    else:
+        with pytest.raises(argparse.ArgumentTypeError, match="invalid n specification"):
+            parse_n_values(text)
 
 
 def test_solve_exact_minimal_board(cf_file, monkeypatch):
@@ -115,6 +129,26 @@ def test_verify_bound_m3_sampled(monkeypatch):
     assert sampled[0][9] == "PASS"
     code, _ = invoke(["verify-bound", "--max-n", "2", "--blowup-n", "2", "--m3-samples", "5"])
     assert code == 2  # sampling without --seed
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (50, 4), (700, 7)])
+def test_verify_bound_m3_value_is_sample_min_norm(samples, seed, monkeypatch):
+    argv = ["verify-bound", "--max-n", "2", "--blowup-n", "2", "--m3-samples", str(samples), "--seed", str(seed)]
+    code, out = invoke(argv, monkeypatch)
+    row = out.strip().split("\n")[-1].split(",")
+    assert (code, row[6]) == (0, "sampled-bound")
+    assert int(row[7]) == int(experiments.sample_min_norm(3, 3, math.inf, samples, seed).min_norm)
+
+
+@pytest.mark.parametrize("blowup_n", ["1", "4"])
+def test_verify_bound_checks_blowup_n_before_any_sweep(blowup_n, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("exact_max_batch reached")
+
+    monkeypatch.setattr(solvers, "exact_max_batch", unreachable)
+    code, out = invoke(["verify-bound", "--max-n", "3", "--blowup-n", blowup_n], monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.endswith("error: --blowup-n must be within --max-n\n")
 
 
 def test_missing_input_file(tmp_path):
@@ -222,6 +256,29 @@ def test_region_conjecture_tagged(monkeypatch):
     assert code == 0
     lines = out.strip().split("\n")
     assert any("conjecture-UNVERIFIED" in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("m, p, r, printed", [
+    ("2", "3/2", "1", "1.6666666666666667"),  # 5/3, not the summability conjecture 6.0
+    ("3", "3/2", "2", "1.1666666666666667"), ("2", "inf", "4/3", "0.0"), ("3", "3", "1", "2.0"),
+])
+def test_region_conjecture_with_r_is_the_blowup_power(m, p, r, printed, monkeypatch):
+    code, out = invoke(["region", "--m", m, "--p", p, "--r", r, "--conjecture"], monkeypatch)
+    row = out.strip().split("\n")[-1].split(",")
+    assert (code, row[4], row[6]) == (0, r, "conjecture-UNVERIFIED")
+    assert row[7] == printed == repr(float(conjecture_exponent(int(m), parse_exponent(p), parse_exponent(r))))
+
+
+@pytest.mark.parametrize("command", ["scan", "gen"])
+def test_huge_degree_exits_2_fast(command, tmp_path, monkeypatch, capsys):
+    argv = [command, "--m", str(10 ** 30), "--n", "2", "--seed", "1"]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "g.json")]
+    t0 = time.perf_counter()
+    code, out = invoke(argv, monkeypatch)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"gbswitch: error: n**m = 2**{10 ** 30} exceeds 2**40\n"
 
 
 def test_ksz_rows(monkeypatch):
@@ -417,9 +474,9 @@ _PINNED_STDOUT = {
     ("scan", "--m", "3", "--n", "8", "--method", "greedy", "--seed", "7"):
         "7df25cdcb2f1a761af132c3d9c34e675cf8bbbabbce0bb575ec3e8f833aa9b34",
     ("region", "--m", "3", "--p", "3/2", "--r", "2", "--conjecture"):
-        "fb983b6e3ac7b1f5ded64006f8b36d3219d0bccf41ea7d1a771240feeb09b027",
+        "c4533ba97fea2ce9b787b7ac748113de5b17023d5404714e484ce61644275d0c",
     ("--json", "region", "--m", "2", "--p", "inf", "--r", "4/3", "--conjecture"):
-        "6e660dc8225c0548453152bcae65aff44539b2e50106eb0590c575f309b7e186",
+        "a752619cb93c65f37991d89e0fe45a10382ad2ffc87876d3d60f45f317f49dc5",
     ("region", "--m", "4", "--p", "5/3", "--boundary", "--grid-points", "7", "--p-max", "9/2"):
         "548d3a2969630c46cd406f071da9d0390c244e2ebb1eb05d83f281f01c66d01f",
     ("verify-bound", "--max-n", "3", "--r", "1,4/3,2,5/2"):

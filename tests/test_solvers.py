@@ -39,7 +39,7 @@ from gbswitch import (
 from gbswitch import solvers
 from gbswitch import tensor as tensor_module
 from gbswitch.cli import _all_boards
-from gbswitch.solvers import _CHUNK_BITS
+from gbswitch.tensor import _STACK_BITS
 
 D22 = DimSpec(2, 2)
 CF = make_tensor(D22, [1, 1, 1, -1])
@@ -88,6 +88,16 @@ def test_exact_max_budget_guard():
     assert exact_max(small, allow_large=True).value == exact_max(small).value
 
 
+def test_exact_kernel_refuses_int64_sums_before_any_array(monkeypatch):
+    class Unreachable:
+        def __getattr__(self, name):
+            raise AssertionError(f"_exact_kernel reached np.{name}")
+
+    monkeypatch.setattr(solvers, "np", Unreachable())
+    with pytest.raises(BudgetExceeded, match=r"3\*\*20 is 2\*\*31 or more"):  # the smallest m >= 2 case
+        solvers._exact_kernel(20, 3, np.empty((0, 3 ** 20), np.int8), allow_large=True)
+
+
 def test_exact_max_tie_break_is_lexicographic():
     # both free assignments of CF reach 2; x = (1,-1) precedes (1,1)
     res = exact_max(CF)
@@ -120,7 +130,7 @@ def test_exact_max_witness_when_maxima_span_blocks(m, n, seed):
     board = random_tensor(DimSpec(m, n), generator(seed, m, n))
     values, rows = lex_values(board)
     maxima = np.flatnonzero(values == values.max())
-    assert len(set((maxima >> _CHUNK_BITS).tolist())) > 1  # ties in more than one block
+    assert len(set((maxima >> _STACK_BITS).tolist())) > 1  # ties in more than one block
     partial = rows(maxima[0])[0].reshape(m - 1, n)
     last = majority_fix(board, list(partial))[0]
     res = exact_max(board)
@@ -134,7 +144,7 @@ def test_exact_max_first_maximum_past_the_first_block(m, n, seed):
     board = random_tensor(DimSpec(m, n), generator(seed, m, n))
     values, rows = lex_values(board)
     first = int(np.flatnonzero(values == values.max())[0])
-    assert first >= 1 << _CHUNK_BITS  # the first maximum lies in a later high-half or prefix block
+    assert first >= 1 << _STACK_BITS  # the first maximum lies in a later high-half or prefix block
     partial = rows(first)[0].reshape(m - 1, n)
     expected = partial.tolist() + [majority_fix(board, list(partial))[0].tolist()]
     assert exact_max(board).witness.vectors.tolist() == expected
@@ -180,7 +190,7 @@ def test_exact_max_batch_every_4x4_board_matches_brute_force():
 
 
 def test_exact_max_batch_partial_board_block_matches_brute_force():
-    # 2**_CHUNK_BITS / 2**3 = 2048 boards share a block at n = 4, so the
+    # 2**_STACK_BITS / 2**3 = 2048 boards share a block at n = 4, so the
     # last of 2049 boards has a block to itself
     boards = generator(8, 2, 4).integers(0, 2, size=(2049, 16), dtype=np.int8) * 2 - 1
     boards[-1] = boards[0]
@@ -234,6 +244,7 @@ def test_exact_max_batch_input_errors_before_kernel(monkeypatch):
         ((2, 2, np.where(boards > 0, 2, -1)), NonUnimodularEntry),
         ((2, 2, boards > 0), NonUnimodularEntry),
         ((2, 2, boards.astype(np.complex128)), NonUnimodularEntry),
+        ((1, 2, np.array([[1, -1]], dtype="m8[s]")), NonUnimodularEntry),
         ((2, 2, boards[:, :3]), LengthMismatch),
         ((2, 2, boards[0]), LengthMismatch),
         ((2, 2, boards.reshape(16, 2, 2)), LengthMismatch),
@@ -249,12 +260,12 @@ def test_sign_rows_lexicographic():
     assert sign_rows(2).tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     assert sign_rows(3, 5, 7).tolist() == [[1, -1, 1], [1, 1, -1]]
     assert sign_rows(0).shape == (1, 0)
-    small = sign_rows(_CHUNK_BITS)
-    assert small.dtype == np.int8 and small.flags.writeable and small is not sign_rows(_CHUNK_BITS)
-    big = sign_rows(_CHUNK_BITS + 1)
-    assert np.array_equal(sign_rows(_CHUNK_BITS + 1, 3, 9), big[3:9])
+    small = sign_rows(_STACK_BITS)
+    assert small.dtype == np.int8 and small.flags.writeable and small is not sign_rows(_STACK_BITS)
+    big = sign_rows(_STACK_BITS + 1)
+    assert np.array_equal(sign_rows(_STACK_BITS + 1, 3, 9), big[3:9])
     assert np.array_equal(big[:, 1:], np.vstack([small, small]))
-    assert np.array_equal(big[:, 0], np.repeat([-1, 1], 1 << _CHUNK_BITS))
+    assert np.array_equal(big[:, 0], np.repeat([-1, 1], 1 << _STACK_BITS))
     assert sign_rows(40, 2**39 - 1, 2**39 + 1).tolist() == [[-1] + [1] * 39, [1] + [-1] * 39]
 
 
@@ -278,8 +289,11 @@ def test_majority_fix_examples():
 
 
 def test_majority_fix_rejects_non_sign_partial():
-    with pytest.raises(NonUnimodularEntry):
-        majority_fix(CF, [np.array([1, 0])])
+    # the +/-1 rule of make_tensor: bool, complex and object vectors fail even when every |entry| is 1
+    for partial in (np.array([1, 0]), np.array([True, True]), np.array([1, -1], dtype=complex),
+                    np.array([1, -1], dtype=object)):
+        with pytest.raises(NonUnimodularEntry):
+            majority_fix(CF, [partial])
 
 
 def test_majority_fix_dominates_all_candidates():

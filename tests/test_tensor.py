@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import contraction_loop, loop_form_value
-from gbswitch.tensor import _contract
+from gbswitch.tensor import MAX_ENTRIES, _contract
 from gbswitch import (
     AxisOutOfRange,
     DimMismatch,
@@ -51,6 +52,8 @@ def test_make_tensor_rejects_non_unimodular():
         make_tensor(D22, [1, 1j, 1, 1])  # complex unimodular entries are out of scope
     with pytest.raises(NonUnimodularEntry):
         make_tensor(D22, [True, True, True, True])
+    with pytest.raises(NonUnimodularEntry):
+        make_tensor(DimSpec(1, 2), np.array([1, -1], dtype="m8[s]"))  # |timedelta| == 1 second is no sign
 
 
 def test_make_tensor_rejects_wrong_length():
@@ -65,6 +68,16 @@ def test_dimspec_guards():
         DimSpec(2, 0)
     with pytest.raises(SizeOverflow):
         DimSpec(5, 300)  # 300**5 > 2**40
+
+
+def test_dimspec_huge_degree_fails_fast():
+    assert DimSpec(40, 2).size == MAX_ENTRIES and DimSpec(10 ** 30, 1).size == 1
+    with pytest.raises(SizeOverflow, match=r"n\*\*m = 2\*\*41 exceeds 2\*\*40"):
+        DimSpec(41, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeOverflow, match=r"n\*\*m = 2\*\*10{30} exceeds 2\*\*40"):
+        DimSpec(10 ** 30, 2)  # refused without computing 2**(10**30)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_entries_read_only():
