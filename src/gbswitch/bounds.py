@@ -289,9 +289,12 @@ def bh_asymptotic_constant(m: int) -> float:
     """Asymptotic constant prod_{k=2}^m f(2(k-1)/k) of the degree-m inequality.
 
     Evaluated as 2**(H_m - 1) * prod_{k=2}^m Gamma(3/2)/Gamma((3k-2)/(2k)),
-    where the harmonic number H_m equals psi(m+1) + gamma.
+    where the harmonic number H_m equals psi(m+1) + gamma. The cost is m
+    Log-Gamma terms, so m above 10**6 (about 2.5 s) is refused.
     """
     _check_degree(m, 1)
+    if m > 10 ** 6:
+        raise InvalidExponent(f"degree m must be <= 10**6 for the m-term constant, got {m}")
     lg32 = log_gamma(1.5)
     gamma_terms = [lg32 - log_gamma((3 * k - 2) / (2 * k)) for k in range(2, m + 1)]
     return math.exp(math.fsum(gamma_terms) + (harmonic(m) - 1.0) * math.log(2.0))

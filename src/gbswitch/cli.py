@@ -243,9 +243,9 @@ def _random_board(dims: tz.DimSpec, seed: int) -> tz.SignTensor:
     return tz.make_tensor(dims, sign_draws([seed], 1, dims.size)[0, 0])
 
 
-def _require_seed(args, parser) -> int:
+def _require_seed(args) -> int:
     if args.seed is None:
-        parser.error(f"--seed is required for randomized subcommand {args.command!r}")
+        raise ValueError(f"--seed is required for randomized subcommand {args.command!r}")
     return args.seed
 
 
@@ -272,9 +272,9 @@ _SOLVERS = {
 }
 
 
-def _solve_one(T, args, parser, seed) -> ExperimentRecord:
+def _solve_one(T, args, seed) -> ExperimentRecord:
     if args.method != "alt" and args.p != math.inf:
-        parser.error(f"--method {args.method} requires --p inf")
+        raise ValueError(f"--method {args.method} requires --p inf")
     m, n = T.dims.m, T.dims.n
     t0 = time.perf_counter()
     res = _SOLVERS[args.method](T, args, seed)
@@ -288,25 +288,25 @@ def _solve_one(T, args, parser, seed) -> ExperimentRecord:
     )
 
 
-def _cmd_solve(args, parser) -> list[ExperimentRecord]:
-    seed = None if args.method == "exact" else _require_seed(args, parser)
+def _cmd_solve(args) -> list[ExperimentRecord]:
+    seed = None if args.method == "exact" else _require_seed(args)
     T = tz.read_tensor(args.input)
-    return [_solve_one(T, args, parser, seed)]
+    return [_solve_one(T, args, seed)]
 
 
-def _cmd_scan(args, parser) -> list[ExperimentRecord]:
-    seed = _require_seed(args, parser)
+def _cmd_scan(args) -> list[ExperimentRecord]:
+    seed = _require_seed(args)
     records = []
     for n in args.n:
         T = _random_board(tz.DimSpec(args.m, n), mix(seed, n))
-        rec = _solve_one(T, args, parser, seed)
+        rec = _solve_one(T, args, seed)
         rec.witness = None
         records.append(rec)
     return records
 
 
-def _cmd_ksz(args, parser) -> list[ExperimentRecord]:
-    seed = _require_seed(args, parser)
+def _cmd_ksz(args) -> list[ExperimentRecord]:
+    seed = _require_seed(args)
     t0 = time.perf_counter()
     result = experiments.sharpness_experiment(
         args.m, args.p, args.n, args.samples, seed, tol=args.tol, starts=args.starts
@@ -331,14 +331,9 @@ def _cmd_ksz(args, parser) -> list[ExperimentRecord]:
 _SWEEP_BITS = 16
 
 
-def _all_boards(n: int) -> np.ndarray:
-    """Every n x n sign board; bit j of the board's index drives flat entry j."""
-    return solvers.sign_rows(n * n)[:, ::-1]
-
-
-def _cmd_verify_extremal(args, parser) -> list[ExperimentRecord]:
+def _cmd_verify_extremal(args) -> list[ExperimentRecord]:
     t0 = time.perf_counter()
-    boards = _all_boards(2)
+    boards = solvers.sign_rows(4)
     values = solvers.exact_max_batch(2, 2, boards)[0]
     classified = [solvers.classify_extremal(tz.make_tensor(tz.DimSpec(2, 2), row)) for row in boards]
     elapsed = _runtime_ms(t0)
@@ -351,21 +346,21 @@ def _cmd_verify_extremal(args, parser) -> list[ExperimentRecord]:
     ]
 
 
-def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
+def _cmd_verify_bound(args) -> list[ExperimentRecord]:
     if args.max_n ** 2 > _SWEEP_BITS:
         raise BudgetExceeded(f"--max-n {args.max_n} would tabulate all 2**{args.max_n ** 2} boards; "
                              f"the limit is 2**{_SWEEP_BITS} boards (--max-n {math.isqrt(_SWEEP_BITS)})")
     if args.m3_samples < 0:
         raise ValueError(f"--m3-samples must be >= 0, got {args.m3_samples}")
     if args.m3_samples > 0:
-        _require_seed(args, parser)
+        _require_seed(args)
     if not 2 <= args.blowup_n <= args.max_n:
-        parser.error("--blowup-n must be within --max-n")
+        raise ValueError("--blowup-n must be within --max-n")
     records = []
     min_by_n = {}
     for n in range(2, args.max_n + 1):
         t0 = time.perf_counter()
-        min_by_n[n] = best = int(solvers.exact_max_batch(2, n, _all_boards(n))[0].min())
+        min_by_n[n] = best = int(solvers.exact_max_batch(2, n, solvers.sign_rows(n * n))[0].min())
         reference = n ** 1.5 / bounds.km_constant(2)
         records.append(ExperimentRecord(
             command="verify-bound", m=2, n=n, p=math.inf, method="norm-lower-bound", value=best,
@@ -398,7 +393,7 @@ def _cmd_verify_bound(args, parser) -> list[ExperimentRecord]:
     return records
 
 
-def _cmd_constants(args, parser) -> list[ExperimentRecord]:
+def _cmd_constants(args) -> list[ExperimentRecord]:
     records = []
     for m in args.m:
         t0 = time.perf_counter()
@@ -408,11 +403,11 @@ def _cmd_constants(args, parser) -> list[ExperimentRecord]:
     return records
 
 
-def _cmd_region(args, parser) -> list[ExperimentRecord]:
+def _cmd_region(args) -> list[ExperimentRecord]:
     if args.p is None and not args.boundary:
-        parser.error("region requires --p and/or --boundary")
+        raise ValueError("region requires --p and/or --boundary")
     if not args.boundary and (args.grid_points is not None or args.p_max is not None):
-        parser.error("--grid-points and --p-max require --boundary")
+        raise ValueError("--grid-points and --p-max require --boundary")
     records = []
     m = args.m
     if args.boundary:
@@ -451,8 +446,8 @@ def _cmd_region(args, parser) -> list[ExperimentRecord]:
     return records
 
 
-def _cmd_gen(args, parser) -> list[ExperimentRecord]:
-    seed = _require_seed(args, parser)
+def _cmd_gen(args) -> list[ExperimentRecord]:
+    seed = _require_seed(args)
     t0 = time.perf_counter()
     T = _random_board(tz.DimSpec(args.m, args.n), mix(seed))
     tz.write_tensor(args.out, T)
@@ -472,15 +467,12 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     try:
-        records = _COMMANDS[args.command](args, parser)
-    except SystemExit as exc:
-        return 2 if exc.code is None else int(exc.code)
+        records = _COMMANDS[args.command](args)
     except _HANDLED_ERRORS as exc:
         print(f"gbswitch: error: {exc}", file=sys.stderr)
         return 2

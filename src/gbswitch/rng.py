@@ -24,7 +24,6 @@ from .errors import BudgetExceeded
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # numpy.random.SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -124,11 +123,13 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 @functools.lru_cache(maxsize=None)
 def _jumps(steps: int) -> np.ndarray:
     """Read-only (4, steps) uint64 rows A_hi, A_lo, C_hi, C_lo of the t-step LCG maps x -> A_t x + C_t inc."""
-    a, c, table = 1, 0, []
-    for _ in range(steps):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        table.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-    table = np.array(table, dtype=np.uint64).T.copy()
+    table = np.array([[_PCG_MULT >> 64], [_PCG_MULT & _MASK64], [0], [1]], dtype=np.uint64)
+    while table.shape[1] < steps:  # doubling: T steps then t steps is A_{T+t} = A_t A_T, C_{T+t} = A_t C_T + C_t
+        a_hi, a_lo, c_hi, c_lo = table
+        last = table[:, -1:]  # A_T, C_T
+        a, c = _mul128(a_hi, a_lo, *last[:2]), _add128(*_mul128(a_hi, a_lo, *last[2:]), c_hi, c_lo)
+        table = np.concatenate((table, np.array([*a, *c])), axis=1)
+    table = table[:, :steps]
     table.setflags(write=False)
     return table
 

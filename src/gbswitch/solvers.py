@@ -73,18 +73,19 @@ def _sign_of(c: np.ndarray) -> np.ndarray:
     return np.where(c < 0, -1, 1).astype(np.int8)
 
 
-def sign_rows(nbits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start..stop-1 of the 2**nbits sign vectors (int8) in lexicographic order.
+def sign_rows(nbits: int) -> np.ndarray:
+    """The 2**nbits sign vectors (int8) in lexicographic order.
 
     Row k spells k in binary, most significant bit first, 0 as -1 and 1 as +1.
     """
-    return _signs_at(np.arange(start, 1 << nbits if stop is None else stop, dtype=np.int64), nbits)
+    return _signs_at(np.arange(1 << nbits, dtype=np.int64), nbits)
 
 
-def _signs_at(idx: np.ndarray, nbits: int) -> np.ndarray:
-    """The sign rows (int8) of the lexicographic indices ``idx``, as in ``sign_rows``."""
-    bits = np.unpackbits(idx.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - nbits:]
-    return bits.view(np.int8) * 2 - 1
+def _signs_at(idx, nbits: int) -> np.ndarray:
+    """The sign rows (int8) of the lexicographic indices ``idx`` (an int gives one row), as in ``sign_rows``."""
+    words = np.asarray(idx, dtype=">u8")
+    bits = np.unpackbits(words.reshape(-1, 1).view(np.uint8), axis=1)[:, 64 - nbits:]
+    return (bits.view(np.int8) * 2 - 1).reshape(*words.shape, nbits)
 
 
 def _sign_sums(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -102,7 +103,7 @@ def _prefix_matrices(view: np.ndarray, m: int, n: int, pbits: int, start: int, c
     Axes left fixed by the varying last ``count_bits`` prefix bits contract
     once; each later axis meets every partial result with its sign rows.
     """
-    fixed = np.array([1] + [(start >> b & 1) * 2 - 1 for b in range(pbits - 1, -1, -1)], dtype=np.int8)
+    fixed = _signs_at(start | 1 << pbits, pbits + 1)  # top bit: x0[0] = 1
     cur = view.reshape(1, n, -1)
     for a in range(m - 2):
         vary = min(n, max(0, count_bits - n * (m - 3 - a)))  # varying bits on axis a
@@ -137,8 +138,8 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
             lo = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits:]).transpose(1, 2, 0, 3))  # (P, n, 2**lbits, B)
             mid = _sign_sums(zero, rows[n - lbits - hblock:n - lbits]).swapaxes(0, 1)  # (P, 2**hblock, n, B)
             for h0 in range(0, 1 << hbits, 1 << hblock):
-                head = np.array([1] * (m == 2)  # the pinned row 0 at m = 2, then the high bits this block fixes
-                                + [(h0 >> b & 1) * 2 - 1 for b in range(hbits - 1, hblock - 1, -1)], np.int8)
+                # the high bits this block fixes, after the pinned row 0 (top bit) at m = 2
+                head = _signs_at(h0 >> hblock | (m == 2) << (hbits - hblock), hbits - hblock + (m == 2))
                 hi = mid + (head @ rows[:len(head)].reshape(len(head), zero.size)).reshape(zero.shape)[:, None]
                 sums = hi[:, :, :, None] + lo[:, None]  # (P, 2**hblock, n, 2**lbits, B)
                 values = np.abs(sums, out=sums).sum(axis=2, dtype=np.int32).reshape(-1, width)

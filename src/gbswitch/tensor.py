@@ -43,13 +43,13 @@ class DimSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
-            raise TypeError("m and n must be int")
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in (self.m, self.n)):
+            raise ValueError(f"m and n must be integers, got m={self.m!r} n={self.n!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m and n must be positive, got m={self.m} n={self.n}")
-        # every n >= 2 with m >= 41 exceeds 2**40: decide that before computing n**m
-        if self.n > 1 and (self.m >= MAX_ENTRIES.bit_length() or self.n ** self.m > MAX_ENTRIES):
-            raise SizeOverflow(f"n**m = {self.n}**{self.m} exceeds 2**40")
+        # at most 40 axes for every n (so m is refused before n**m is computed)
+        if self.m >= MAX_ENTRIES.bit_length() or self.n ** self.m > MAX_ENTRIES:
+            raise SizeOverflow(f"n**m = {self.n}**{self.m} exceeds 2**40 entries or 40 axes")
 
     @property
     def size(self) -> int:
@@ -287,10 +287,7 @@ def from_json_dict(obj) -> SignTensor:
     for key in ("m", "n", "entries"):
         if key not in obj:
             raise ValueError(f"tensor JSON missing field {key!r}")
-    m, n = obj["m"], obj["n"]
-    if isinstance(m, bool) or isinstance(n, bool) or not isinstance(m, int) or not isinstance(n, int):
-        raise ValueError("tensor JSON fields m and n must be integers")
-    dims = DimSpec(m, n)
+    dims = DimSpec(obj["m"], obj["n"])
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise ValueError("tensor JSON field entries must be an array")

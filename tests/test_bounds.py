@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,15 @@ def test_bh_constant_equals_f_product():
         for k in range(2, m + 1):
             prod *= haagerup_f(Fraction(2 * (k - 1), k))
         assert bh_asymptotic_constant(m) == pytest.approx(prod, rel=1e-10)
+
+
+def test_bh_constant_refuses_huge_degree_at_once():
+    assert bh_asymptotic_constant(1) == 1.0
+    for m in (10 ** 6 + 1, 10 ** 30):
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidExponent, match=r"m must be <= 10\*\*6"):
+            bh_asymptotic_constant(m)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_bh_constant_strictly_increasing():

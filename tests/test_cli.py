@@ -269,16 +269,19 @@ def test_region_conjecture_with_r_is_the_blowup_power(m, p, r, printed, monkeypa
     assert row[7] == printed == repr(float(conjecture_exponent(int(m), parse_exponent(p), parse_exponent(r))))
 
 
-@pytest.mark.parametrize("command", ["scan", "gen"])
-def test_huge_degree_exits_2_fast(command, tmp_path, monkeypatch, capsys):
-    argv = [command, "--m", str(10 ** 30), "--n", "2", "--seed", "1"]
-    if command == "gen":
-        argv += ["--out", str(tmp_path / "g.json")]
+@pytest.mark.parametrize("command, m, n", [
+    pytest.param("scan", 10 ** 30, 2, id="scan"), pytest.param("gen", 10 ** 30, 2, id="gen"),
+    pytest.param("scan", 10 ** 30, 1, id="scan-n1"), pytest.param("scan", 100, 1, id="scan-m100-n1"),
+    pytest.param("gen", 70, 1, id="gen-m70-n1"),
+])
+def test_huge_degree_exits_2_fast(command, m, n, tmp_path, monkeypatch, capsys):
+    argv = [command, "--m", str(m), "--n", str(n), "--seed", "1"]
+    argv += ["--out", str(tmp_path / "g.json")] if command == "gen" else ["--method", "greedy"]
     t0 = time.perf_counter()
     code, out = invoke(argv, monkeypatch)
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == f"gbswitch: error: n**m = 2**{10 ** 30} exceeds 2**40\n"
+    assert capsys.readouterr().err == f"gbswitch: error: n**m = {n}**{m} exceeds 2**40 entries or 40 axes\n"
 
 
 def test_ksz_rows(monkeypatch):
@@ -530,6 +533,15 @@ _TOO_LARGE_FOR_A_FLOAT = "lp exponent p is too large for a float (above about 1.
                  "--m3-samples must be >= 0, got -5", id="m3-samples-negative"),
     pytest.param(["region", "--m", "2", "--boundary", "--p-max", "inf"],
                  "--p-max must be finite, got inf", id="p-max-inf"),
+    pytest.param(["scan", "--m", "2", "--n", "3"],
+                 "--seed is required for randomized subcommand 'scan'", id="scan-no-seed"),
+    pytest.param(["scan", "--m", "2", "--n", "3", "--seed", "1", "--p", "2"],
+                 "--method greedy requires --p inf", id="greedy-finite-p"),
+    pytest.param(["verify-bound", "--max-n", "3", "--blowup-n", "4"],
+                 "--blowup-n must be within --max-n", id="blowup-n-above-max-n"),
+    pytest.param(["region", "--m", "2"], "region requires --p and/or --boundary", id="region-no-p"),
+    pytest.param(["region", "--m", "2", "--p", "2", "--grid-points", "5"],
+                 "--grid-points and --p-max require --boundary", id="grid-points-without-boundary"),
 ])
 def test_out_of_range_input_exits_2(argv, message, monkeypatch, capsys):
     code, out = invoke(argv, monkeypatch)

@@ -59,6 +59,23 @@ def test_sign_draws_seed_stack_past_one_pass():
     assert np.array_equal(sign_draws(seeds, 1, 5), sign_draws_loop(seeds, 1, 5))
 
 
+def _jumps_loop(steps: int) -> np.ndarray:
+    """The (4, steps) jump table stepped one LCG step at a time in Python ints: the oracle of rng._jumps."""
+    mask, a, c, table = (1 << 128) - 1, 1, 0, []
+    for _ in range(steps):
+        a, c = a * rng._PCG_MULT & mask, (c * rng._PCG_MULT + 1) & mask
+        table.append((a >> 64, a & (2**64 - 1), c >> 64, c & (2**64 - 1)))
+    return np.array(table, dtype=np.uint64).T
+
+
+def test_jump_table_matches_stepwise_loop():
+    oracle = _jumps_loop(rng._DRAW_CHUNK)
+    for k in range(rng._DRAW_CHUNK.bit_length()):
+        table = rng._jumps(1 << k)
+        assert table.dtype == np.uint64 and not table.flags.writeable
+        assert np.array_equal(table, oracle[:, :1 << k]), k
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
 def test_sign_draws_chunked_passes_keep_bytes(monkeypatch, chunk):
     # a pass may end inside one seed's stream (chunk < steps), so the LCG

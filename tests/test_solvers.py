@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import (
     all_boards,
     all_sign_vectors,
-    board_from_code,
     brute_force_max,
     greedy_loop,
     lex_first_batch_m2,
@@ -38,7 +37,7 @@ from gbswitch import (
 )
 from gbswitch import solvers
 from gbswitch import tensor as tensor_module
-from gbswitch.cli import _all_boards
+from gbswitch.solvers import _signs_at
 from gbswitch.tensor import _STACK_BITS
 
 D22 = DimSpec(2, 2)
@@ -182,7 +181,7 @@ def test_exact_max_batch_when_maxima_span_blocks(m, n, seed):
 
 
 def test_exact_max_batch_every_4x4_board_matches_brute_force():
-    boards = _all_boards(4)
+    boards = sign_rows(16)
     values, witnesses = exact_max_batch(2, 4, boards)
     expected_values, expected_witnesses = lex_first_batch_m2(boards)
     assert np.array_equal(values, expected_values)
@@ -258,23 +257,16 @@ def test_exact_max_batch_input_errors_before_kernel(monkeypatch):
 
 def test_sign_rows_lexicographic():
     assert sign_rows(2).tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
-    assert sign_rows(3, 5, 7).tolist() == [[1, -1, 1], [1, 1, -1]]
+    assert sign_rows(3)[5:7].tolist() == [[1, -1, 1], [1, 1, -1]]
     assert sign_rows(0).shape == (1, 0)
     small = sign_rows(_STACK_BITS)
     assert small.dtype == np.int8 and small.flags.writeable and small is not sign_rows(_STACK_BITS)
     big = sign_rows(_STACK_BITS + 1)
-    assert np.array_equal(sign_rows(_STACK_BITS + 1, 3, 9), big[3:9])
+    assert np.array_equal(_signs_at(np.arange(3, 9), _STACK_BITS + 1), big[3:9])
+    assert np.array_equal(_signs_at(9, _STACK_BITS + 1), big[9])  # an int gives one row
     assert np.array_equal(big[:, 1:], np.vstack([small, small]))
     assert np.array_equal(big[:, 0], np.repeat([-1, 1], 1 << _STACK_BITS))
-    assert sign_rows(40, 2**39 - 1, 2**39 + 1).tolist() == [[-1] + [1] * 39, [1] + [-1] * 39]
-
-
-def test_all_boards_follow_code_order():
-    for n in (2, 3):
-        boards = _all_boards(n)
-        assert boards.shape == (1 << (n * n), n * n)
-        for code in (0, 1, 5, (1 << (n * n)) - 1):
-            assert boards[code].tolist() == board_from_code(n, code).entries.tolist()
+    assert _signs_at(np.arange(2**39 - 1, 2**39 + 1), 40).tolist() == [[-1] + [1] * 39, [1] + [-1] * 39]
 
 
 def test_majority_fix_examples():

@@ -66,17 +66,24 @@ def test_dimspec_guards():
         DimSpec(0, 3)
     with pytest.raises(ValueError):
         DimSpec(2, 0)
+    for m, n in ((True, 2), (2, 2.0), ("2", 2)):
+        with pytest.raises(ValueError, match="m and n must be integers") as excinfo:
+            DimSpec(m, n)
+        assert excinfo.type is ValueError
     with pytest.raises(SizeOverflow):
         DimSpec(5, 300)  # 300**5 > 2**40
 
 
 def test_dimspec_huge_degree_fails_fast():
-    assert DimSpec(40, 2).size == MAX_ENTRIES and DimSpec(10 ** 30, 1).size == 1
-    with pytest.raises(SizeOverflow, match=r"n\*\*m = 2\*\*41 exceeds 2\*\*40"):
+    assert DimSpec(40, 2).size == MAX_ENTRIES and DimSpec(40, 1).size == 1
+    with pytest.raises(SizeOverflow, match=r"n\*\*m = 2\*\*41 exceeds 2\*\*40 entries or 40 axes"):
         DimSpec(41, 2)
+    with pytest.raises(SizeOverflow, match=r"n\*\*m = 1\*\*41 exceeds 2\*\*40 entries or 40 axes"):
+        DimSpec(41, 1)  # one entry, but more axes than a board may have
     t0 = time.perf_counter()
-    with pytest.raises(SizeOverflow, match=r"n\*\*m = 2\*\*10{30} exceeds 2\*\*40"):
-        DimSpec(10 ** 30, 2)  # refused without computing 2**(10**30)
+    for n in (1, 2):
+        with pytest.raises(SizeOverflow, match=rf"n\*\*m = {n}\*\*10{{30}} exceeds 2\*\*40 entries or 40 axes"):
+            DimSpec(10 ** 30, n)  # refused without computing n**(10**30)
     assert time.perf_counter() - t0 < 1
 
 
