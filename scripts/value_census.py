@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Exhaustive census of exact game values over all n x n sign boards.
 
-Enumerates every +/-1 board for n up to --max-n (default 4, i.e. 2^16
-boards), prints the value histogram, the minimum against the proven lower
+Counts every +/-1 board for n up to --max-n (default 4, i.e. 2^16
+boards; 5 is within reach) through the 2^((n-1)^2) switching normal
+forms, each standing for the 2^(2n-1) boards of its class, all of one
+value. Prints the value histogram, the minimum against the proven lower
 bound n**1.5 / (1.3 * 2**0.365), and the count of boards attaining the
 absolute floor 2**(-1/2) n**(3/2) (eight at n = 2, none beyond).
 
@@ -22,12 +24,13 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import gbswitch
 
-from gbswitch import exact_max_batch, km_constant, sign_rows
+from gbswitch import exact_max_batch, km_constant, normal_form_boards
 
 
 def census(n: int) -> dict[int, int]:
-    values, counts = np.unique(exact_max_batch(2, n, sign_rows(n * n))[0], return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    # each switching class has 2**(2n-1) boards and one normal form, all of one value
+    values, counts = np.unique(exact_max_batch(2, n, normal_form_boards(2, n))[0], return_counts=True)
+    return dict(zip(values.tolist(), (counts << 2 * n - 1).tolist()))
 
 
 def main() -> int:

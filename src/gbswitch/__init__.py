@@ -58,6 +58,7 @@ from .solvers import (
     exact_max_batch,
     local_search,
     majority_fix,
+    normal_form_boards,
     random_restart_greedy,
     sign_rows,
 )

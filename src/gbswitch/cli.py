@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--starts", type=int, default=8)
 
     sp = sub.add_parser("verify-bound", help="exhaustive lower-bound and blow-up checks")
-    sp.add_argument("--max-n", type=int, default=4, help="exhaust all 2x2..max-n boards (m=2)")
+    sp.add_argument("--max-n", type=int, default=4, help="exhaust 2x2..max-n boards up to switching (m=2, at most 5)")
     sp.add_argument("--blowup-n", type=int, default=3)
     sp.add_argument("--r", type=parse_exponent_list, default=[Fraction(1), Fraction(4, 3), Fraction(2)])
     sp.add_argument("--m3-samples", type=int, default=0, help="also sample m=3, n=3 boards")
@@ -327,7 +327,7 @@ def _cmd_ksz(args) -> list[ExperimentRecord]:
     return records
 
 
-#: verify-bound tabulates every n x n board at once, so n*n stays within this many bits.
+#: verify-bound tabulates the 2**((n-1)**2) n x n normal forms at once, so (n-1)**2 stays within this many bits.
 _SWEEP_BITS = 16
 
 
@@ -347,9 +347,9 @@ def _cmd_verify_extremal(args) -> list[ExperimentRecord]:
 
 
 def _cmd_verify_bound(args) -> list[ExperimentRecord]:
-    if args.max_n ** 2 > _SWEEP_BITS:
-        raise BudgetExceeded(f"--max-n {args.max_n} would tabulate all 2**{args.max_n ** 2} boards; "
-                             f"the limit is 2**{_SWEEP_BITS} boards (--max-n {math.isqrt(_SWEEP_BITS)})")
+    if args.max_n - 1 > math.isqrt(_SWEEP_BITS):  # (max_n-1)**2 > _SWEEP_BITS; max_n < 2 fails --blowup-n below
+        raise BudgetExceeded(f"--max-n {args.max_n} would tabulate 2**{(args.max_n - 1) ** 2} normal-form boards; "
+                             f"the limit is 2**{_SWEEP_BITS} boards (--max-n {math.isqrt(_SWEEP_BITS) + 1})")
     if args.m3_samples < 0:
         raise ValueError(f"--m3-samples must be >= 0, got {args.m3_samples}")
     if args.m3_samples > 0:
@@ -360,7 +360,7 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
     min_by_n = {}
     for n in range(2, args.max_n + 1):
         t0 = time.perf_counter()
-        min_by_n[n] = best = int(solvers.exact_max_batch(2, n, solvers.sign_rows(n * n))[0].min())
+        min_by_n[n] = best = int(solvers.exact_max_batch(2, n, solvers.normal_form_boards(2, n))[0].min())
         reference = n ** 1.5 / bounds.km_constant(2)
         records.append(ExperimentRecord(
             command="verify-bound", m=2, n=n, p=math.inf, method="norm-lower-bound", value=best,

@@ -81,6 +81,22 @@ def sign_rows(nbits: int) -> np.ndarray:
     return _signs_at(np.arange(1 << nbits, dtype=np.int64), nbits)
 
 
+def normal_form_boards(m: int, n: int) -> np.ndarray:
+    """The int8 (2**F, n**m) stack of switching normal forms, F = n**m - m(n-1) - 1.
+
+    A normal form is +1 on the m axis lines through the origin (entries with
+    at most one nonzero index); its F free entries take the rows of
+    ``sign_rows(F)`` in order. Switching x acts trivially only when every
+    x^(a) is constant with product +1, so each class has 2**(m(n-1)+1)
+    boards and holds exactly one normal form, which has the class's value.
+    """
+    free = (np.indices((n,) * m).reshape(m, -1) != 0).sum(axis=0) > 1
+    rows = sign_rows(int(free.sum()))
+    boards = np.ones((len(rows), n ** m), dtype=np.int8)
+    boards[:, free] = rows
+    return boards
+
+
 def _signs_at(idx, nbits: int) -> np.ndarray:
     """The sign rows (int8) of the lexicographic indices ``idx`` (an int gives one row), as in ``sign_rows``."""
     words = np.asarray(idx, dtype=">u8")

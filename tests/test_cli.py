@@ -1,12 +1,14 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,10 +390,26 @@ def test_verify_bound_size_guard_before_any_board(monkeypatch, capsys):
         raise AssertionError("a board table was built")
 
     monkeypatch.setattr(solvers, "sign_rows", unreachable)
-    code, out = invoke(["verify-bound", "--max-n", "5"], monkeypatch)
+    code, out = invoke(["verify-bound", "--max-n", "6"], monkeypatch)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
-    assert "--max-n 5" in err and "2**16 boards (--max-n 4)" in err
+    assert err.endswith("error: --max-n 6 would tabulate 2**25 normal-form boards; "
+                        "the limit is 2**16 boards (--max-n 5)\n")
+
+
+def test_verify_bound_n5_row_matches_sorted_row_representatives(monkeypatch):
+    code4, out4 = invoke(["verify-bound", "--max-n", "4"], monkeypatch)
+    code5, out5 = invoke(["verify-bound", "--max-n", "5"], monkeypatch)
+    rows5 = out5.splitlines()
+    n5 = [row for row in rows5 if row.startswith("verify-bound,2,5,")]
+    assert (code4, code5, len(n5)) == (0, 0, 1)
+    assert [row for row in rows5 if row not in n5] == out4.splitlines()
+    # a second reduction: row 0 and column 0 are +1, rows 1..4 in nondecreasing order
+    patterns = np.hstack([np.ones((16, 1), dtype=np.int8), solvers.sign_rows(4)])
+    picks = np.array(list(itertools.combinations_with_replacement(range(16), 4)))
+    boards = np.concatenate([np.ones((len(picks), 1, 5), dtype=np.int8), patterns[picks]], axis=1).reshape(-1, 25)
+    assert len(boards) == 3876
+    assert int(n5[0].split(",")[7]) == int(solvers.exact_max_batch(2, 5, boards)[0].min()) == 11
 
 
 def test_stacked_ascent_output_matches_per_start_loop(tmp_path, monkeypatch):
@@ -539,6 +557,7 @@ _TOO_LARGE_FOR_A_FLOAT = "lp exponent p is too large for a float (above about 1.
                  "--method greedy requires --p inf", id="greedy-finite-p"),
     pytest.param(["verify-bound", "--max-n", "3", "--blowup-n", "4"],
                  "--blowup-n must be within --max-n", id="blowup-n-above-max-n"),
+    pytest.param(["verify-bound", "--max-n", "-5"], "--blowup-n must be within --max-n", id="max-n-negative"),
     pytest.param(["region", "--m", "2"], "region requires --p and/or --boundary", id="region-no-p"),
     pytest.param(["region", "--m", "2", "--p", "2", "--grid-points", "5"],
                  "--grid-points and --p-max require --boundary", id="grid-points-without-boundary"),

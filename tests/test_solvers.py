@@ -30,6 +30,7 @@ from gbswitch import (
     majority_fix,
     make_assignment,
     make_tensor,
+    normal_form_boards,
     partial_contraction,
     random_restart_greedy,
     random_tensor,
@@ -267,6 +268,58 @@ def test_sign_rows_lexicographic():
     assert np.array_equal(big[:, 1:], np.vstack([small, small]))
     assert np.array_equal(big[:, 0], np.repeat([-1, 1], 1 << _STACK_BITS))
     assert _signs_at(np.arange(2**39 - 1, 2**39 + 1), 40).tolist() == [[-1] + [1] * 39, [1] + [-1] * 39]
+
+
+def test_normal_form_boards_shape_and_order():
+    boards = normal_form_boards(2, 2)
+    assert boards.dtype == np.int8 and boards.tolist() == [[1, 1, 1, -1], [1, 1, 1, 1]]
+    boards = normal_form_boards(2, 3)  # free entries (1,1), (1,2), (2,1), (2,2) take sign_rows(4) in order
+    assert np.array_equal(boards[:, [4, 5, 7, 8]], sign_rows(4))
+    assert (boards[:, [0, 1, 2, 3, 6]] == 1).all()
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_normal_form_boards_has_a_row_per_free_sign_vector(m, n, monkeypatch):
+    free = n ** m - m * (n - 1) - 1
+    asked = []
+
+    def recorded(nbits):  # (3, 3) has 2**20 rows: record F, build nothing
+        asked.append(nbits)
+        return sign_rows(nbits) if nbits <= 16 else np.ones((0, nbits), dtype=np.int8)
+
+    monkeypatch.setattr(solvers, "sign_rows", recorded)
+    boards = normal_form_boards(m, n)
+    assert asked == [free]
+    assert boards.shape == (1 << free if free <= 16 else 0, n ** m)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
+def test_normal_form_histogram_times_orbit_size_is_full_histogram(m, n):
+    full_values, full_counts = np.unique(exact_max_batch(m, n, sign_rows(n ** m))[0], return_counts=True)
+    values, counts = np.unique(exact_max_batch(m, n, normal_form_boards(m, n))[0], return_counts=True)
+    assert np.array_equal(values, full_values)
+    assert np.array_equal(counts << m * (n - 1) + 1, full_counts)
+
+
+def _normalising_switch(board):
+    """The switch that makes +1 every entry on the axis lines through the origin."""
+    m, arr = board.dims.m, board.view()
+    lines = [arr[(0,) * a + (slice(None),) + (0,) * (m - 1 - a)] for a in range(m)]
+    return make_assignment(board.dims, [lines[0]] + [line * arr[(0,) * m] for line in lines[1:]])
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+def test_every_board_switches_into_one_normal_form(m, n):
+    dims = DimSpec(m, n)
+    hits = dict.fromkeys((row.tobytes() for row in normal_form_boards(m, n)), 0)
+    for row in sign_rows(n ** m):
+        board = make_tensor(dims, row)
+        switched = apply_switch(board, _normalising_switch(board))
+        key = switched.entries.tobytes()
+        assert key in hits
+        assert exact_max(switched).value == exact_max(board).value
+        hits[key] += 1
+    assert set(hits.values()) == {1 << m * (n - 1) + 1}  # every class is one orbit of the full size
 
 
 def test_majority_fix_examples():
