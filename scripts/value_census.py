@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import gbswitch
 
-from gbswitch import exact_max_batch, km_constant, normal_form_boards
+from gbswitch import exact_max_batch, g_lower_bound_formula, normal_form_boards
 
 
 def census(n: int) -> dict[int, int]:
@@ -38,14 +39,15 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=4)
     args = parser.parse_args()
 
-    for n in range(2, args.max_n + 1):
-        hist = census(n)
+    hists = [census(n) for n in range(2, args.max_n + 1)]
+    width = max([7] + [len(str(count)) for hist in hists for count in hist.values()])  # one column for all n
+    for n, hist in enumerate(hists, start=2):
         total = sum(hist.values())
         floor = 2 ** (-0.5) * n ** 1.5
-        bound = n ** 1.5 / km_constant(2)
+        bound = g_lower_bound_formula(2, n, math.inf)
         print(f"n = {n}: {total} boards")
         for value, count in hist.items():  # ascending, from np.unique
-            print(f"  value {value:>3}: {count:>7} boards ({count / total:7.2%})")
+            print(f"  value {value:>3}: {count:>{width}} boards ({count / total:7.2%})")
         print(f"  minimum {min(hist)} vs proven bound {bound:.4f}")
         at_floor = sum(cnt for v, cnt in hist.items() if abs(v - floor) < 1e-9)
         print(f"  boards at the floor 2^(-1/2) n^(3/2) = {floor:.4f}: {at_floor}")

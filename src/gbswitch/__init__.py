@@ -15,11 +15,13 @@ from .bounds import (
     blowup_lower_exponent,
     classify_point,
     conjecture_exponent,
+    g_lower_bound_formula,
     haagerup_f,
     hl_exponent,
     km_constant,
     ksz_exponent,
     unimodular_sharp_exponent,
+    weak_l1_norm,
 )
 from .errors import (
     AxisOutOfRange,
@@ -45,8 +47,6 @@ from .lp import (
     LpPoint,
     alternating_max,
     dual_update,
-    g_lower_bound_formula,
-    weak_l1_norm,
 )
 from .rng import generator, mix, sign_draws
 from .solvers import (

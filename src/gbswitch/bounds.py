@@ -4,8 +4,8 @@ Covers the Hardy-Littlewood summability exponents, the sharp unimodular
 exponent with its admissible / non-admissible / unknown bands, the
 Kahane-Salem-Zygmund norm exponent, the l_r blow-up rates, the Haagerup
 constant f(p), the Gamma/harmonic-sum closed form of the
-Bohnenblust-Hille-type asymptotic constant, and the 1.3 * m**0.365 working
-constant.
+Bohnenblust-Hille-type asymptotic constant, the 1.3 * m**0.365 working
+constant, and the proven lower bound on the game value.
 
 Exponents are exact: ``p`` and ``r`` may be int, Fraction, float, or
 math.inf. Finite inputs are canonicalized to Fraction and every exponent
@@ -72,6 +72,14 @@ def as_exponent(p: Exponent, *, name: str = "p") -> Union[Fraction, float]:
             raise InvalidExponent(f"{name} must be a positive real or inf, got {p}")
         return Fraction(p)
     raise InvalidExponent(f"{name} must be int, float, Fraction, or inf, got {type(p).__name__}")
+
+
+def as_float(x, message: str) -> float:
+    """float(x) of an exact value, or InvalidExponent(message) where it overflows a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidExponent(message) from None
 
 
 def _check_degree(m: int, minimum: int) -> None:
@@ -308,3 +316,27 @@ def km_constant(m: int) -> float:
     """
     _check_degree(m, 1)
     return 1.3 * m ** 0.365
+
+
+def g_lower_bound_formula(m: int, n: int, p) -> float:
+    """Proven lower bound n**((mp+p-2m)/(2p)) / (1.3 m**0.365) on the lp game value.
+
+    Valid for p > 2m/(m+1); the exponent is m over the sharp exponent, the
+    limit (m+1)/2 at p = inf.
+    """
+    _check_degree(m, 1)
+    pc = as_exponent(p)
+    if pc <= _unimodular_threshold(m):
+        raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
+    return float(n) ** float(m / _sharp(m, _inverse(pc))) / km_constant(m)
+
+
+def weak_l1_norm(n: int, p) -> float:
+    """sup of sum|phi_j| over the unit ball of the dual exponent, n**(1/p).
+
+    Equals lp.dual_update(all-ones, p/(p-1)).value; the p = inf case is 1.
+    """
+    pc = as_exponent(p)
+    if pc <= 1:
+        raise InvalidExponent(f"weak_l1_norm requires p > 1, got {pc}")
+    return float(n) ** float(_inverse(pc))

@@ -252,11 +252,13 @@ def _require_seed(args) -> int:
 # --- subcommands -------------------------------------------------------------
 
 
-def _reference_bound(m: int, n: int, p) -> Optional[float]:
+def _bound_check(m: int, n: int, p, value, exact: bool) -> tuple[Optional[float], str]:
+    """The proven lower bound at (m, n, p), None off its domain, and the verdict on value if it is exact."""
     try:
-        return lp.g_lower_bound_formula(m, n, p)
+        reference = bounds.g_lower_bound_formula(m, n, p)
     except InvalidExponent:
-        return None
+        return None, INFO
+    return reference, _verdict(value >= reference if exact else None)
 
 
 #: Solver per --method. All but alt maximise over sign vectors, so need p = inf.
@@ -279,12 +281,10 @@ def _solve_one(T, args, seed) -> ExperimentRecord:
     t0 = time.perf_counter()
     res = _SOLVERS[args.method](T, args, seed)
     witness = None if args.method == "alt" else witness_to_str(res.witness)
-    reference = _reference_bound(m, n, args.p)
-    checked = args.method == "exact" and reference is not None
+    reference, verdict = _bound_check(m, n, args.p, res.value, args.method == "exact")
     return ExperimentRecord(
         command=args.command, m=m, n=n, p=args.p, seed=seed, method=args.method,
-        value=res.value, reference=reference, verdict=_verdict(res.value >= reference if checked else None),
-        runtime_ms=_runtime_ms(t0), witness=witness,
+        value=res.value, reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0), witness=witness,
     )
 
 
@@ -314,11 +314,10 @@ def _cmd_ksz(args) -> list[ExperimentRecord]:
     elapsed = _runtime_ms(t0)
     records = []
     for s in result.samples:
-        reference = _reference_bound(s.m, s.n, s.p)
-        checked = s.exact and reference is not None
+        reference, verdict = _bound_check(s.m, s.n, s.p, s.min_norm, s.exact)
         records.append(ExperimentRecord(
             command="ksz", m=s.m, n=s.n, p=s.p, seed=seed, method="min-norm", value=s.min_norm,
-            reference=reference, verdict=_verdict(s.min_norm >= reference if checked else None), runtime_ms=elapsed,
+            reference=reference, verdict=verdict, runtime_ms=elapsed,
         ))
     records.append(ExperimentRecord(
         command="ksz", m=args.m, p=args.p, seed=seed, method="slope", value=result.fit.slope,
@@ -361,10 +360,10 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
     for n in range(2, args.max_n + 1):
         t0 = time.perf_counter()
         min_by_n[n] = best = int(solvers.exact_max_batch(2, n, solvers.normal_form_boards(2, n))[0].min())
-        reference = n ** 1.5 / bounds.km_constant(2)
+        reference, verdict = _bound_check(2, n, math.inf, best, True)
         records.append(ExperimentRecord(
             command="verify-bound", m=2, n=n, p=math.inf, method="norm-lower-bound", value=best,
-            reference=reference, verdict=_verdict(best >= reference), runtime_ms=_runtime_ms(t0),
+            reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0),
         ))
     n = args.blowup_n
     for r in args.r:
@@ -372,11 +371,11 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
         # over boards is attained at the minimum exact value
         t0 = time.perf_counter()
         expo = bounds.blowup_exponent(2, math.inf, r)
-        try:
-            lhs = float(n * n) ** (1.0 / float(r))
-        except OverflowError:
-            raise InvalidExponent("--r is too large for a float (above about 1.8e308)") from None
-        worst = lhs / (float(n) ** float(expo) * min_by_n[n])
+        rf = bounds.as_float(r, "--r is too large for a float (above about 1.8e308)")
+        try:  # 1/r and n**expo grow together, so a small r overflows one or the other
+            worst = float(n * n) ** (1.0 / rf) / (float(n) ** float(expo) * min_by_n[n])
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidExponent("--r is too small for a float: n**(2/r) is above about 1.8e308") from None
         reference = bounds.km_constant(2)
         records.append(ExperimentRecord(
             command="verify-bound", m=2, n=n, p=math.inf, r=r, method="blowup-check", value=worst,
@@ -385,10 +384,10 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
     if args.m3_samples > 0:
         t0 = time.perf_counter()
         best = int(experiments.sample_min_norm(3, 3, math.inf, args.m3_samples, args.seed).min_norm)
-        reference = 3.0 ** 2 / bounds.km_constant(3)
+        reference, verdict = _bound_check(3, 3, math.inf, best, True)
         records.append(ExperimentRecord(
             command="verify-bound", m=3, n=3, p=math.inf, seed=args.seed, method="sampled-bound", value=best,
-            reference=reference, verdict=_verdict(best >= reference), runtime_ms=_runtime_ms(t0),
+            reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0),
         ))
     return records
 
@@ -410,6 +409,7 @@ def _cmd_region(args) -> list[ExperimentRecord]:
         raise ValueError("--grid-points and --p-max require --boundary")
     records = []
     m = args.m
+    too_large = "region exponent is too large for a float (above about 1.8e308)"  # --m or 1/--r near 1e308
     if args.boundary:
         t0 = time.perf_counter()
         bounds._check_degree(m, 2)
@@ -428,7 +428,7 @@ def _cmd_region(args) -> list[ExperimentRecord]:
             step = (hi - lo) / points
             for i in range(1, points + 1):
                 p_i = lo + i * step
-                value = float(formula(m, bounds._inverse(p_i)))
+                value = bounds.as_float(formula(m, bounds._inverse(p_i)), too_large)
                 records.append(ExperimentRecord(command="region", m=m, p=p_i, method=method, value=value,
                                                 runtime_ms=_runtime_ms(t0)))
     if args.p is not None:
@@ -437,10 +437,11 @@ def _cmd_region(args) -> list[ExperimentRecord]:
         kind = verdict.kind if args.r is None else bounds.classify_point(m, args.p, args.r)
         lo, hi = verdict.interval if verdict.sharp_exponent is None else (verdict.sharp_exponent,) * 2
         records.append(ExperimentRecord(command="region", m=m, p=args.p, r=args.r, method=kind.value,
-                                        value=float(lo), reference=float(hi), runtime_ms=_runtime_ms(t0)))
+                                        value=bounds.as_float(lo, too_large),
+                                        reference=bounds.as_float(hi, too_large), runtime_ms=_runtime_ms(t0)))
         if args.conjecture:
             conj = bounds.conjecture_exponent(m, args.p, args.r)
-            value = None if conj == math.inf else float(conj)
+            value = None if conj == math.inf else bounds.as_float(conj, too_large)
             records.append(ExperimentRecord(command="region", m=m, p=args.p, r=args.r,
                                             method="conjecture-UNVERIFIED", value=value, runtime_ms=_runtime_ms(t0)))
     return records

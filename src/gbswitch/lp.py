@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_degree, _inverse, _sharp, _unimodular_threshold, as_exponent, km_constant
+from .bounds import as_exponent, as_float
 from .errors import InvalidExponent
 from .rng import mix, sign_draws
 from .tensor import SignTensor, _contract, _stack_rows
@@ -85,10 +85,7 @@ def _exponent_float(p) -> float:
     pc = as_exponent(p)
     if pc < 1:
         raise InvalidExponent(f"lp exponent must satisfy p >= 1, got {pc}")
-    try:
-        return float(pc)
-    except OverflowError:
-        raise InvalidExponent("lp exponent p is too large for a float (above about 1.8e308); use inf") from None
+    return as_float(pc, "lp exponent p is too large for a float (above about 1.8e308); use inf")
 
 
 def _dual_coords(c: np.ndarray, pf: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,27 +187,3 @@ def alternating_max(
                 trace = AscentTrace(values=tuple(traces[r]), converged=bool(converged[r]), sweeps=len(traces[r]))
                 best = AscentResult(value=final, points=tuple(LpPoint(pf, v) for v in vecs[r].copy()), trace=trace)
     return best
-
-
-def g_lower_bound_formula(m: int, n: int, p) -> float:
-    """Proven lower bound n**((mp+p-2m)/(2p)) / (1.3 m**0.365) on the lp game value.
-
-    Valid for p > 2m/(m+1); the exponent is m over the sharp exponent, the
-    limit (m+1)/2 at p = inf.
-    """
-    _check_degree(m, 1)
-    pc = as_exponent(p)
-    if pc <= _unimodular_threshold(m):
-        raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
-    return float(n) ** float(m / _sharp(m, _inverse(pc))) / km_constant(m)
-
-
-def weak_l1_norm(n: int, p) -> float:
-    """sup of sum|phi_j| over the unit ball of the dual exponent, n**(1/p).
-
-    Equals dual_update(all-ones, p/(p-1)).value; the p = inf case is 1.
-    """
-    pc = as_exponent(p)
-    if pc <= 1:
-        raise InvalidExponent(f"weak_l1_norm requires p > 1, got {pc}")
-    return float(n) ** float(_inverse(pc))

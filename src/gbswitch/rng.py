@@ -71,10 +71,10 @@ def sign_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
 
 
-def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
-    # SeedSequence's hashmix; the hash constant advances on every call
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    # SeedSequence's hashmix (mult _MULT_A) and output hash (mult _MULT_B); const advances on every call
     value = value ^ np.uint32(const)
-    const = const * _MULT_A & _MASK32
+    const = const * mult & _MASK32
     value = value * np.uint32(const)
     return value ^ (value >> np.uint32(16)), const
 
@@ -87,21 +87,18 @@ def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
     words += [np.zeros_like(words[0])] * (_POOL_SIZE - len(words))
     const, pool = _INIT_A, []
     for word in words:
-        value, const = _hashmix(word, const)
+        value, const = _hashmix(word, const, _MULT_A)
         pool.append(value)
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                value, const = _hashmix(pool[src], const)
+                value, const = _hashmix(pool[src], const, _MULT_A)
                 mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * value
                 pool[dst] = mixed ^ (mixed >> np.uint32(16))
     state = np.empty((len(seeds), 2 * _POOL_SIZE), dtype=np.uint32)
     const = _INIT_B
     for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> np.uint32(16))
+        state[:, i], const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
     # word k of the uint64 state is 32-bit words 2k (low) and 2k+1 (high)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 

@@ -25,7 +25,7 @@ from gbswitch import (
     unimodular_sharp_exponent,
     weak_l1_norm,
 )
-from gbswitch.bounds import EULER_GAMMA, RegionVerdict, log_gamma
+from gbswitch.bounds import EULER_GAMMA, RegionVerdict, as_float, log_gamma
 
 INF = math.inf
 
@@ -282,6 +282,13 @@ def test_km_constant():
     assert km_constant(2) == pytest.approx(1.674246118362773, rel=1e-12)
     assert KM_EXPONENT_LIMIT == pytest.approx(0.36481857726926087, rel=1e-12)
     assert KM_EXPONENT_LIMIT == (2 - math.log(2) - EULER_GAMMA) / 2
+
+
+def test_as_float():
+    for x in (Fraction(4, 3), Fraction(-7), 5, INF, Fraction(1, 10 ** 400)):
+        assert as_float(x, "unused") == float(x)
+    with pytest.raises(InvalidExponent, match=r"^x is beyond a float\.$"):
+        as_float(Fraction(10 ** 400), "x is beyond a float.")
 
 
 def test_conjecture_exponent():

@@ -528,6 +528,8 @@ def test_pinned_output_bytes(tmp_path, monkeypatch):
 
 
 _TOO_LARGE_FOR_A_FLOAT = "lp exponent p is too large for a float (above about 1.8e308); use inf"
+_R_TOO_SMALL = "--r is too small for a float: n**(2/r) is above about 1.8e308"
+_REGION_TOO_LARGE = "region exponent is too large for a float (above about 1.8e308)"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -537,6 +539,18 @@ _TOO_LARGE_FOR_A_FLOAT = "lp exponent p is too large for a float (above about 1.
                  _TOO_LARGE_FOR_A_FLOAT, id="ksz-p-1e400"),
     pytest.param(["verify-bound", "--max-n", "3", "--r", "1e400"],
                  "--r is too large for a float (above about 1.8e308)", id="verify-bound-r-1e400"),
+    # float(r) underflows to 0, float(expo) overflows, and (n*n)**(1/r) overflows
+    pytest.param(["verify-bound", "--max-n", "2", "--blowup-n", "2", "--r", "1e-400"],
+                 _R_TOO_SMALL, id="verify-bound-r-1e-400"),
+    pytest.param(["verify-bound", "--max-n", "2", "--blowup-n", "2", "--r", "1e-320"],
+                 _R_TOO_SMALL, id="verify-bound-r-1e-320"),
+    pytest.param(["verify-bound", "--max-n", "2", "--blowup-n", "2", "--r", "1/1000"],
+                 _R_TOO_SMALL, id="verify-bound-r-1/1000"),
+    pytest.param(["region", "--m", "2", "--p", "3", "--r", "1e-400", "--conjecture"],
+                 _REGION_TOO_LARGE, id="region-conjecture-r-1e-400"),
+    pytest.param(["region", "--m", str(10 ** 400), "--p", "3/2"], _REGION_TOO_LARGE, id="region-m-1e400"),
+    pytest.param(["region", "--m", str(10 ** 400), "--boundary", "--grid-points", "2"],
+                 _REGION_TOO_LARGE, id="region-boundary-m-1e400"),
     pytest.param(["scan", "--m", "2", "--n", "4", "--seed", "1", "--method", "local", "--max-flips", "-1"],
                  "max_sweeps must be >= 0, got -1", id="local-max-flips-negative"),
     pytest.param(["scan", "--m", "2", "--n", "4", "--seed", "1", "--method", "alt", "--p", "2", "--tol", "-1"],
@@ -569,8 +583,8 @@ def test_out_of_range_input_exits_2(argv, message, monkeypatch, capsys):
 
 
 _HUGE = str(10 ** 30)
-#: Odd values tried for one option per run: zero, negatives, nan, infinities, a fraction, huge numbers.
-_ODD_VALUES = ("0", "-1", "-3", "nan", "inf", "-inf", "1/2", "1e400", "-1e400", "-" + _HUGE, _HUGE)
+#: Odd values tried for one option per run: zero, negatives, nan, infinities, a fraction, huge and tiny numbers.
+_ODD_VALUES = ("0", "-1", "-3", "nan", "inf", "-inf", "1/2", "1e400", "1e-400", "-1e400", "-" + _HUGE, _HUGE)
 #: Ordinary values for the other options, by option type.
 _USUAL_VALUES = {
     int: ("0", "1", "2", "5", _HUGE),

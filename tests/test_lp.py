@@ -184,6 +184,10 @@ def test_g_lower_bound_formula_values():
     for n in (2, 5, 11):
         assert g_lower_bound_formula(2, n, 2) == pytest.approx(math.sqrt(n) / km_constant(2), rel=1e-12)
     assert g_lower_bound_formula(3, 4, math.inf) == pytest.approx(4.0 ** 2 / km_constant(3), rel=1e-12)
+    # bit for bit at p = inf: verify-bound and value_census.py print these references
+    for n in range(2, 7):
+        assert g_lower_bound_formula(2, n, math.inf) == n ** 1.5 / km_constant(2)
+    assert g_lower_bound_formula(3, 3, math.inf) == 3.0 ** 2 / km_constant(3)
 
 
 def test_g_lower_bound_formula_domain():
