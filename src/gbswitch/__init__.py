@@ -61,6 +61,7 @@ from .solvers import (
     normal_form_boards,
     random_restart_greedy,
     sign_rows,
+    value_census,
 )
 from .tensor import (
     DimSpec,

@@ -82,6 +82,13 @@ def as_float(x, message: str) -> float:
         raise InvalidExponent(message) from None
 
 
+def as_text(x) -> str:
+    """An exact value as messages show it: its text up to 40 characters, else sign and power of ten ("about 1e-400")."""
+    if len(str(x)) <= 40:  # only an int or a Fraction is longer, and math.log10 takes big ints
+        return str(x)
+    return f"about {'-' if x < 0 else ''}1e{round(math.log10(abs(x.numerator)) - math.log10(x.denominator))}"
+
+
 def _check_degree(m: int, minimum: int) -> None:
     if isinstance(m, bool) or not isinstance(m, int) or m < minimum:
         raise InvalidExponent(f"degree m must be an integer >= {minimum}, got {m!r}")
@@ -126,7 +133,7 @@ def hl_exponent(m: int, p: Exponent) -> Fraction:
     _check_degree(m, 2)
     pc = as_exponent(p)
     if pc <= m:
-        raise InvalidExponent(f"hl_exponent requires p > m, got p={pc}, m={m}")
+        raise InvalidExponent(f"hl_exponent requires p > m, got p={as_text(pc)}, m={m}")
     return pc / (pc - m) if pc <= 2 * m else _sharp(m, _inverse(pc))
 
 
@@ -138,7 +145,7 @@ def ksz_exponent(m: int, p: Exponent) -> Fraction:
     _check_degree(m, 1)
     pc = as_exponent(p)
     if pc < 1:
-        raise InvalidExponent(f"ksz_exponent requires p >= 1, got {pc}")
+        raise InvalidExponent(f"ksz_exponent requires p >= 1, got {as_text(pc)}")
     t = _inverse(pc)
     return max(Fraction(1, 2) + m * (Fraction(1, 2) - t), 1 - t)
 
@@ -173,7 +180,7 @@ def unimodular_sharp_exponent(m: int, p: Exponent) -> RegionVerdict:
     _check_degree(m, 2)
     pc = as_exponent(p)
     if pc <= 1:
-        raise InvalidExponent(f"unimodular_sharp_exponent requires p > 1, got {pc}")
+        raise InvalidExponent(f"unimodular_sharp_exponent requires p > 1, got {as_text(pc)}")
     t = _inverse(pc)
     if pc >= 2:
         return RegionVerdict(RegionKind.ADMISSIBLE, sharp_exponent=_sharp(m, t))
@@ -190,7 +197,7 @@ def classify_point(m: int, p: Exponent, r: Exponent) -> RegionKind:
     """
     rc = as_exponent(r, name="r")
     if rc <= 0:
-        raise InvalidExponent(f"r must be > 0, got {rc}")
+        raise InvalidExponent(f"r must be > 0, got {as_text(rc)}")
     verdict = unimodular_sharp_exponent(m, p)
     if verdict.kind is RegionKind.ADMISSIBLE:
         return RegionKind.ADMISSIBLE if rc >= verdict.sharp_exponent else RegionKind.NON_ADMISSIBLE
@@ -208,9 +215,9 @@ def _blowup_args(m: int, p: Exponent, r: Exponent) -> tuple[Fraction, Fraction]:
     rc = as_exponent(r, name="r")
     pc = as_exponent(p)
     if rc == INF or rc <= 0:
-        raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {rc}")
+        raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {as_text(rc)}")
     if pc <= _unimodular_threshold(m):
-        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
+        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {as_text(pc)}")
     return _inverse(pc), 1 / rc
 
 
@@ -246,15 +253,15 @@ def conjecture_exponent(m: int, p: Exponent, r: Optional[Exponent] = None):
     pc = as_exponent(p)
     if r is None:
         if pc < 1:
-            raise InvalidExponent(f"conjectured exponent requires p >= 1, got {pc}")
+            raise InvalidExponent(f"conjectured exponent requires p >= 1, got {as_text(pc)}")
         if pc == 1:
             return INF
         return (_sharp if pc >= 2 else _lower)(m, _inverse(pc))
     rc = as_exponent(r, name="r")
     if rc == INF or rc <= 0:
-        raise InvalidExponent(f"r must be finite and > 0, got {rc}")
+        raise InvalidExponent(f"r must be finite and > 0, got {as_text(rc)}")
     if pc <= 1:
-        raise InvalidExponent(f"conjectured blow-up requires p > 1, got {pc}")
+        raise InvalidExponent(f"conjectured blow-up requires p > 1, got {as_text(pc)}")
     return (_blowup if pc >= 2 else _blowup_lower)(m, _inverse(pc), 1 / rc)
 
 
@@ -287,7 +294,7 @@ def haagerup_f(p: Exponent) -> float:
     """f(p) = (2**((p-2)/2) * Gamma((p+1)/2) / Gamma(3/2))**(-1) on 1 <= p <= 2."""
     pc = as_exponent(p)
     if not 1 <= pc <= 2:
-        raise InvalidExponent(f"haagerup_f requires 1 <= p <= 2, got {pc}")
+        raise InvalidExponent(f"haagerup_f requires 1 <= p <= 2, got {as_text(pc)}")
     pf = float(pc)
     log_f = -((pf - 2.0) / 2.0) * math.log(2.0) - log_gamma((pf + 1.0) / 2.0) + log_gamma(1.5)
     return math.exp(log_f)
@@ -327,7 +334,7 @@ def g_lower_bound_formula(m: int, n: int, p) -> float:
     _check_degree(m, 1)
     pc = as_exponent(p)
     if pc <= _unimodular_threshold(m):
-        raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {pc}")
+        raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {as_text(pc)}")
     return float(n) ** float(m / _sharp(m, _inverse(pc))) / km_constant(m)
 
 
@@ -338,5 +345,5 @@ def weak_l1_norm(n: int, p) -> float:
     """
     pc = as_exponent(p)
     if pc <= 1:
-        raise InvalidExponent(f"weak_l1_norm requires p > 1, got {pc}")
+        raise InvalidExponent(f"weak_l1_norm requires p > 1, got {as_text(pc)}")
     return float(n) ** float(_inverse(pc))

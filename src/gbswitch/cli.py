@@ -326,7 +326,7 @@ def _cmd_ksz(args) -> list[ExperimentRecord]:
     return records
 
 
-#: verify-bound tabulates the 2**((n-1)**2) n x n normal forms at once, so (n-1)**2 stays within this many bits.
+#: verify-bound scores all 2**((n-1)**2) n x n normal forms, so (n-1)**2 stays within this many bits (n = 6: ~40 s).
 _SWEEP_BITS = 16
 
 
@@ -359,7 +359,7 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
     min_by_n = {}
     for n in range(2, args.max_n + 1):
         t0 = time.perf_counter()
-        min_by_n[n] = best = int(solvers.exact_max_batch(2, n, solvers.normal_form_boards(2, n))[0].min())
+        min_by_n[n] = best = min(solvers.value_census(2, n))
         reference, verdict = _bound_check(2, n, math.inf, best, True)
         records.append(ExperimentRecord(
             command="verify-bound", m=2, n=n, p=math.inf, method="norm-lower-bound", value=best,
@@ -421,7 +421,7 @@ def _cmd_region(args) -> list[ExperimentRecord]:
         if p_max == math.inf:
             raise InvalidExponent("--p-max must be finite, got inf")
         if p_max <= threshold:
-            raise InvalidExponent(f"--p-max must be > 2m/(m+1) = {threshold}, got {p_max}")
+            raise InvalidExponent(f"--p-max must be > 2m/(m+1) = {threshold}, got {bounds.as_text(p_max)}")
         # the lower curve lives on (1, 2], the sharp curve on (2m/(m+1), p_max]
         for method, lo, hi, formula in (("lower-curve", Fraction(1), Fraction(2), bounds._lower),
                                         ("sharp-curve", threshold, p_max, bounds._sharp)):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import as_exponent, as_float
+from .bounds import as_exponent, as_float, as_text
 from .errors import InvalidExponent
 from .rng import mix, sign_draws
 from .tensor import SignTensor, _contract, _stack_rows
@@ -84,7 +84,7 @@ class AscentResult:
 def _exponent_float(p) -> float:
     pc = as_exponent(p)
     if pc < 1:
-        raise InvalidExponent(f"lp exponent must satisfy p >= 1, got {pc}")
+        raise InvalidExponent(f"lp exponent must satisfy p >= 1, got {as_text(pc)}")
     return as_float(pc, "lp exponent p is too large for a float (above about 1.8e308); use inf")
 
 

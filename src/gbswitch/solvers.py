@@ -21,6 +21,7 @@ Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -90,8 +91,13 @@ def normal_form_boards(m: int, n: int) -> np.ndarray:
     x^(a) is constant with product +1, so each class has 2**(m(n-1)+1)
     boards and holds exactly one normal form, which has the class's value.
     """
+    return _normal_forms(m, n, 0, 1 << DimSpec(m, n).size - m * (n - 1) - 1)
+
+
+def _normal_forms(m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of ``normal_form_boards(m, n)``: the free entries of form k are ``_signs_at(k, F)``."""
     free = (np.indices((n,) * m).reshape(m, -1) != 0).sum(axis=0) > 1
-    rows = sign_rows(int(free.sum()))
+    rows = _signs_at(np.arange(start, stop, dtype=np.int64), int(free.sum()))
     boards = np.ones((len(rows), n ** m), dtype=np.int8)
     boards[:, free] = rows
     return boards
@@ -209,6 +215,23 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
         if (cur.reshape(-1) != values[b0:b0 + step]).any() or (np.abs(witnesses[b0:b0 + step]) != 1).any():
             raise AssertionError(f"witness re-evaluation mismatch in boards {b0}..{b0 + cur.size - 1}")
     return values, witnesses
+
+
+def value_census(m: int, n: int) -> dict[int, int]:
+    """The number of +/-1 boards with n**m entries at each exact value, in ascending value order.
+
+    Normal forms are scored in blocks of 2**_STACK_BITS, each count weighted by the class size 2**(m(n-1)+1).
+    """
+    free = DimSpec(m, n).size - m * (n - 1) - 1
+    bits = free + n * (m - 1) - 1  # 2**free forms of 2**(n(m-1)-1) assignments: one solve's budget for all
+    if bits > EXACT_BUDGET_BITS:
+        raise BudgetExceeded(f"value_census({m}, {n}): 2**{bits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget")
+    hist = collections.Counter()
+    for k0 in range(0, 1 << free, 1 << _STACK_BITS):
+        boards = _normal_forms(m, n, k0, min(k0 + (1 << _STACK_BITS), 1 << free))
+        values, counts = np.unique(exact_max_batch(m, n, boards)[0], return_counts=True)
+        hist.update(dict(zip(values.tolist(), counts.tolist())))
+    return {value: hist[value] << m * (n - 1) + 1 for value in sorted(hist)}
 
 
 def majority_fix(tensor: SignTensor, partial) -> tuple[np.ndarray, int]:

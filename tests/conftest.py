@@ -7,6 +7,7 @@ dual_coords_vector) are the heuristic solvers' one-start, one-restart and
 one-vector loops: the stacked solvers must match them bit for bit.
 sign_draws_loop is ``rng.sign_draws`` by one numpy-seeded PCG64 per seed.
 lex_first_batch_m2 is ``exact_max_batch`` at m = 2 by brute force.
+walsh_values is the exact value at n = 2 by a Walsh-Hadamard transform.
 The oracle_* exponent formulas are the bounds and lp formulas written in p,
 with an explicit p = inf branch each; the library writes them once in 1/p.
 """
@@ -152,6 +153,22 @@ def lex_first_batch_m2(boards) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(len(boards))
     y = np.where(c[rows, first] < 0, -1, 1)
     return scores[rows, first], np.stack((xs[first], y), axis=1).astype(np.int8)
+
+
+def walsh_values(boards) -> np.ndarray:
+    """Exact values (B,) of a (B, 2**m) stack of n = 2 boards: the largest |Walsh-Hadamard coefficient|.
+
+    At n = 2 every switch vector is x_a = s_a (1, t_a), so the form is
+    +/- sum_i f(i) (-1)^<b, i> with b_a = [t_a = -1]: one coefficient per b.
+    """
+    w = np.array(boards, dtype=np.int64)
+    count, size = w.shape
+    h = 1
+    while h < size:  # one butterfly per index bit h: (u, v) -> (u + v, u - v)
+        w = w.reshape(count, -1, 2, h)
+        w = np.stack((w[:, :, 0] + w[:, :, 1], w[:, :, 0] - w[:, :, 1]), axis=2)
+        h *= 2
+    return np.abs(w.reshape(count, size)).max(axis=1)
 
 
 def board_from_code(n: int, code: int) -> SignTensor:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "value_census.py"
 
 
@@ -26,3 +28,13 @@ def test_census_columns_line_up_at_n_5():
     assert " 12410880 boards" in text and len(rows) > 8
     columns = {tuple(m.start() for m in re.finditer(r"[:(%)]|boards", row)) for row in rows}
     assert len(columns) == 1, rows
+
+
+@pytest.mark.parametrize("max_n, message", [
+    ("1", "--max-n 1: must be >= 2"),
+    ("0", "--max-n 0: must be >= 2"),
+    ("7", "--max-n 7: value_census(2, 7): 2**42 assignments exceed the 2**30 budget"),
+], ids=["below-2", "zero", "over-budget"])
+def test_census_refuses_bad_max_n(max_n, message):
+    done = subprocess.run([sys.executable, str(SCRIPT), "--max-n", max_n], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"value_census.py: error: {message}\n")

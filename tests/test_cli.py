@@ -389,7 +389,7 @@ def test_verify_bound_size_guard_before_any_board(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("a board table was built")
 
-    monkeypatch.setattr(solvers, "sign_rows", unreachable)
+    monkeypatch.setattr(solvers, "_signs_at", unreachable)  # every board table starts with its sign rows
     code, out = invoke(["verify-bound", "--max-n", "6"], monkeypatch)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
@@ -537,6 +537,11 @@ _REGION_TOO_LARGE = "region exponent is too large for a float (above about 1.8e3
                  _TOO_LARGE_FOR_A_FLOAT, id="scan-p-1e400"),
     pytest.param(["ksz", "--m", "2", "--p", "1e400", "--n", "2:3", "--samples", "2", "--seed", "1"],
                  _TOO_LARGE_FOR_A_FLOAT, id="ksz-p-1e400"),
+    # an exact exponent of more than 40 characters is shown by its sign and power of ten
+    pytest.param(["ksz", "--m", "2", "--p", "1e-400", "--n", "2", "--samples", "2", "--seed", "1"],
+                 "lp exponent must satisfy p >= 1, got about 1e-400", id="ksz-p-1e-400"),
+    pytest.param(["region", "--m", "2", "--p", "1e-400"],
+                 "unimodular_sharp_exponent requires p > 1, got about 1e-400", id="region-p-1e-400"),
     pytest.param(["verify-bound", "--max-n", "3", "--r", "1e400"],
                  "--r is too large for a float (above about 1.8e308)", id="verify-bound-r-1e400"),
     # float(r) underflows to 0, float(expo) overflows, and (n*n)**(1/r) overflows

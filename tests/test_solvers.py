@@ -12,6 +12,7 @@ from conftest import (
     lex_first_exact,
     lex_values,
     local_search_loop,
+    walsh_values,
 )
 from gbswitch import (
     BudgetExceeded,
@@ -19,6 +20,7 @@ from gbswitch import (
     LengthMismatch,
     Method,
     NonUnimodularEntry,
+    SizeOverflow,
     apply_switch,
     classify_extremal,
     evaluate,
@@ -30,11 +32,14 @@ from gbswitch import (
     majority_fix,
     make_assignment,
     make_tensor,
+    mix,
     normal_form_boards,
     partial_contraction,
     random_restart_greedy,
     random_tensor,
+    sign_draws,
     sign_rows,
+    value_census,
 )
 from gbswitch import solvers
 from gbswitch import tensor as tensor_module
@@ -283,13 +288,13 @@ def test_normal_form_boards_has_a_row_per_free_sign_vector(m, n, monkeypatch):
     free = n ** m - m * (n - 1) - 1
     asked = []
 
-    def recorded(nbits):  # (3, 3) has 2**20 rows: record F, build nothing
-        asked.append(nbits)
-        return sign_rows(nbits) if nbits <= 16 else np.ones((0, nbits), dtype=np.int8)
+    def recorded(idx, nbits):  # (3, 3) has 2**20 rows: record F, build no sign table
+        asked.append((len(idx), nbits))
+        return _signs_at(idx, nbits) if nbits <= 16 else np.ones((0, nbits), dtype=np.int8)
 
-    monkeypatch.setattr(solvers, "sign_rows", recorded)
+    monkeypatch.setattr(solvers, "_signs_at", recorded)
     boards = normal_form_boards(m, n)
-    assert asked == [free]
+    assert asked == [(1 << free, free)]
     assert boards.shape == (1 << free if free <= 16 else 0, n ** m)
 
 
@@ -299,6 +304,52 @@ def test_normal_form_histogram_times_orbit_size_is_full_histogram(m, n):
     values, counts = np.unique(exact_max_batch(m, n, normal_form_boards(m, n))[0], return_counts=True)
     assert np.array_equal(values, full_values)
     assert np.array_equal(counts << m * (n - 1) + 1, full_counts)
+    census = value_census(m, n)
+    assert list(census) == full_values.tolist() and list(census.values()) == full_counts.tolist()
+
+
+def test_value_census_is_the_same_in_many_blocks(monkeypatch):
+    one_block = value_census(2, 4)
+    blocks = []
+
+    def recorded(m, n, entries):
+        blocks.append(len(entries))
+        return exact_max_batch(m, n, entries)
+
+    monkeypatch.setattr(solvers, "_STACK_BITS", 2)
+    monkeypatch.setattr(solvers, "exact_max_batch", recorded)
+    assert value_census(2, 4) == one_block
+    assert blocks == [4] * 128  # 2**9 normal forms in blocks of 2**2
+
+
+def test_value_census_3x3x3_histogram():
+    census = value_census(3, 3)
+    assert census == {9: 294912, 11: 25728000, 13: 61620480, 15: 33716736, 17: 10188288, 19: 2246400,
+                      21: 374400, 23: 44928, 25: 3456, 27: 128}
+    assert min(census) == 9 and sum(census.values()) == 2 ** 27
+
+
+@pytest.mark.parametrize("m,n,error", [(2, 7, BudgetExceeded), (5, 2, BudgetExceeded), (40, 2, BudgetExceeded),
+                                       (41, 2, SizeOverflow)])
+def test_value_census_refuses_before_any_array(m, n, error, monkeypatch):
+    class Unreachable:
+        def __getattr__(self, name):
+            raise AssertionError(f"value_census reached np.{name}")
+
+    monkeypatch.setattr(solvers, "np", Unreachable())
+    with pytest.raises(error):
+        value_census(m, n)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_exact_max_batch_matches_walsh_oracle_at_n_2(m):
+    boards = sign_draws([mix(43, m)], 6, 2 ** m)[0]
+    assert np.array_equal(exact_max_batch(m, 2, boards)[0], walsh_values(boards))
+    if m <= 4:
+        forms = normal_form_boards(m, 2)
+        assert np.array_equal(exact_max_batch(m, 2, forms)[0], walsh_values(forms))
+        values, counts = np.unique(walsh_values(sign_rows(2 ** m)), return_counts=True)
+        assert value_census(m, 2) == dict(zip(values.tolist(), counts.tolist()))
 
 
 def _normalising_switch(board):
