@@ -124,6 +124,15 @@ def _unimodular_threshold(m: int) -> Fraction:
     return _sharp(m, Fraction(0))
 
 
+def _above_threshold(m: int, pc, what: str) -> Fraction:
+    """t = 1/p of a canonical p > 2m/(m+1), else InvalidExponent; a threshold over 40 characters is not shown."""
+    threshold = _unimodular_threshold(m)
+    if pc <= threshold:
+        shown = f" = {threshold}" if len(str(threshold)) <= 40 else ""
+        raise InvalidExponent(f"{what} > 2m/(m+1){shown}, got {as_text(pc)}")
+    return _inverse(pc)
+
+
 def hl_exponent(m: int, p: Exponent) -> Fraction:
     """Summability exponent of the Hardy-Littlewood inequalities.
 
@@ -216,9 +225,7 @@ def _blowup_args(m: int, p: Exponent, r: Exponent) -> tuple[Fraction, Fraction]:
     pc = as_exponent(p)
     if rc == INF or rc <= 0:
         raise InvalidExponent(f"blow-up exponent requires finite r > 0, got {as_text(rc)}")
-    if pc <= _unimodular_threshold(m):
-        raise InvalidExponent(f"blow-up exponent requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {as_text(pc)}")
-    return _inverse(pc), 1 / rc
+    return _above_threshold(m, pc, "blow-up exponent requires p"), 1 / rc
 
 
 def blowup_exponent(m: int, p: Exponent, r: Exponent) -> Fraction:
@@ -332,10 +339,8 @@ def g_lower_bound_formula(m: int, n: int, p) -> float:
     limit (m+1)/2 at p = inf.
     """
     _check_degree(m, 1)
-    pc = as_exponent(p)
-    if pc <= _unimodular_threshold(m):
-        raise InvalidExponent(f"lower bound requires p > 2m/(m+1) = {_unimodular_threshold(m)}, got {as_text(pc)}")
-    return float(n) ** float(m / _sharp(m, _inverse(pc))) / km_constant(m)
+    t = _above_threshold(m, as_exponent(p), "lower bound requires p")
+    return float(n) ** float(m / _sharp(m, t)) / km_constant(m)
 
 
 def weak_l1_norm(n: int, p) -> float:

@@ -415,16 +415,14 @@ def _cmd_region(args) -> list[ExperimentRecord]:
         bounds._check_degree(m, 2)
         points = 40 if args.grid_points is None else args.grid_points
         p_max = Fraction(12) if args.p_max is None else args.p_max
-        threshold = bounds._unimodular_threshold(m)
         if points < 2:
             raise ValueError(f"--grid-points must be >= 2, got {points}")
         if p_max == math.inf:
             raise InvalidExponent("--p-max must be finite, got inf")
-        if p_max <= threshold:
-            raise InvalidExponent(f"--p-max must be > 2m/(m+1) = {threshold}, got {bounds.as_text(p_max)}")
+        bounds._above_threshold(m, p_max, "--p-max must be")
         # the lower curve lives on (1, 2], the sharp curve on (2m/(m+1), p_max]
         for method, lo, hi, formula in (("lower-curve", Fraction(1), Fraction(2), bounds._lower),
-                                        ("sharp-curve", threshold, p_max, bounds._sharp)):
+                                        ("sharp-curve", bounds._unimodular_threshold(m), p_max, bounds._sharp)):
             step = (hi - lo) / points
             for i in range(1, points + 1):
                 p_i = lo + i * step

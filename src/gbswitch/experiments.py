@@ -99,14 +99,14 @@ def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int =
 def fit_exponent(points: Iterable[tuple[float, float]]) -> FitResult:
     """Ordinary least squares of log(value) against log(n).
 
-    Requires at least two distinct n and strictly positive values;
+    Requires at least two distinct n and finite positive n and values;
     ``residual`` is the root-mean-square log residual.
     """
     pts = [(float(n), float(v)) for n, v in points]
     if len({n for n, _ in pts}) < 2:
         raise DegenerateInput("need at least two distinct n values")
-    if any(v <= 0 or n <= 0 for n, v in pts):
-        raise DegenerateInput("values and n must be positive for a log-log fit")
+    if not all(0 < n < INF and 0 < v < INF for n, v in pts):  # NaN fails both comparisons
+        raise DegenerateInput("values and n must be positive and finite for a log-log fit")
     x = np.log([n for n, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -13,7 +13,8 @@ once, each axis update contracts every live start at once
 (``tensor._contract``) and takes the dual update row by row
 (``_dual_coords``). Each row does the same floating-point operations in the
 same order as a lone start, so values, witnesses and traces are the same
-bytes as a per-start loop.
+bytes as a per-start loop. Every lp norm here, ``lp_norm`` included, is
+``tensor._row_norms``, the one rule that ``tensor.mixed_norm`` also uses.
 """
 
 from __future__ import annotations
@@ -26,28 +27,14 @@ import numpy as np
 from .bounds import as_exponent, as_float, as_text
 from .errors import InvalidExponent
 from .rng import mix, sign_draws
-from .tensor import SignTensor, _contract, _stack_rows
+from .tensor import SignTensor, _contract, _row_norms, _stack_rows, mixed_norm
 
 _UNIT_TOL = 1e-12
 
 
 def lp_norm(v: np.ndarray, p: float) -> float:
-    """lp norm of a vector, overflow-safe for large p."""
-    a = np.abs(np.asarray(v, dtype=np.float64)).reshape(1, -1)
-    return float(_row_norms(a, p)[0]) if a.size else 0.0
-
-
-def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
-    """lp norms of the rows of a nonnegative (S, n) array, overflow-safe for large p.
-
-    Each row is scaled by its max entry (a zero row by 1), and the final
-    power is taken per row on a scalar, as for a single vector.
-    """
-    top = a.max(axis=1)
-    if math.isinf(p):
-        return top
-    sums = ((a / np.where(top > 0, top, 1.0)[:, None]) ** p).sum(axis=1)
-    return np.array([t * float(s ** (1.0 / p)) for t, s in zip(top.tolist(), sums)])
+    """lp norm of a vector: ``mixed_norm`` with the one exponent p > 0 (0.0 for an empty vector)."""
+    return mixed_norm(np.asarray(v, dtype=np.float64).reshape(-1), [p])
 
 
 @dataclass(frozen=True)

@@ -305,13 +305,13 @@ def local_search(tensor: SignTensor, start: SwitchAssignment, max_sweeps: int = 
     """
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
+    value = evaluate(tensor, start)  # checks the start's dims before any contraction
+    evaluations = 1
     m, n = tensor.dims.m, tensor.dims.n
     board = tensor.view().astype(np.int64)
     others = [[b for b in range(m) if b != a] for a in range(m)]
     vectors = np.array(start.vectors, dtype=np.int64)
     c = np.array([_contract_except(board, vectors, a) for a in range(m)])
-    value = evaluate(tensor, start)
-    evaluations = 1
     for _ in range(max_sweeps):
         gains = -2 * vectors * c
         evaluations += m * n

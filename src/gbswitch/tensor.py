@@ -236,13 +236,30 @@ def apply_switch(tensor: SignTensor, assignment: SwitchAssignment) -> SignTensor
     return SignTensor(tensor.dims, _frozen_i8(flipped.reshape(-1)))
 
 
+def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """lp norms of the rows of a nonnegative (S, n) array, for any p > 0 (inf allowed).
+
+    Rows are scaled by their max entry (a zero or infinite max by 1), so no
+    power overflows or underflows (Blue 1978). The final power is a scalar
+    pow per row: numpy's SIMD ``**`` differs in the last bit on some CPUs,
+    and ascent values reach the CLI through ``repr``.
+    """
+    top = a.max(axis=1, initial=0.0)
+    if math.isinf(p):
+        return top
+    scale = np.where(np.isfinite(top) & (top > 0), top, 1.0)
+    sums = ((a / scale[:, None]) ** p).sum(axis=1)
+    return np.array([t * float(s ** (1.0 / p)) for t, s in zip(top.tolist(), sums)])
+
+
 def mixed_norm(data, exponents: MixedExponents) -> float:
     """Iterated norm, contracting the last axis first.
 
     With exponents (q_0, ..., q_{m-1}) the last axis is reduced with the
     q_{m-1} norm, then the next with q_{m-2}, and so on; q_k = inf takes a
     max. Callers permute axes explicitly when a formula needs another
-    contraction order. All exponents must be > 0.
+    contraction order. All exponents must be > 0; each axis is reduced by
+    ``_row_norms``.
     """
     if isinstance(data, SignTensor):
         arr = data.view().astype(np.float64)
@@ -256,10 +273,8 @@ def mixed_norm(data, exponents: MixedExponents) -> float:
             raise InvalidExponent(f"mixed-norm exponents must be > 0, got {q}")
     arr = np.abs(arr)
     for q in reversed(qs):
-        if math.isinf(q):
-            arr = arr.max(axis=-1)
-        else:
-            arr = (arr ** q).sum(axis=-1) ** (1.0 / q)
+        lead = arr.shape[:-1]
+        arr = _row_norms(arr.reshape(math.prod(lead), arr.shape[-1]), q).reshape(lead)
     return float(arr)
 
 

@@ -164,6 +164,10 @@ def test_blowup_exponent_examples():
         blowup_exponent(2, INF, 0)
     with pytest.raises(InvalidExponent):
         blowup_exponent(2, Fraction(4, 3), 1)
+    # 2m/(m+1) has 62 characters at m = 10**30, so the message leaves its value out
+    assert blowup_exponent(10 ** 30, 2, 2 * 10 ** 30) == 0
+    with pytest.raises(InvalidExponent, match=r"^blow-up exponent requires p > 2m/\(m\+1\), got 1$"):
+        blowup_exponent(10 ** 30, 1, 2)
 
 
 def test_blowup_lower_exponent():

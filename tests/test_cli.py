@@ -570,6 +570,9 @@ _REGION_TOO_LARGE = "region exponent is too large for a float (above about 1.8e3
                  "--m3-samples must be >= 0, got -5", id="m3-samples-negative"),
     pytest.param(["region", "--m", "2", "--boundary", "--p-max", "inf"],
                  "--p-max must be finite, got inf", id="p-max-inf"),
+    # a threshold 2m/(m+1) of more than 40 characters is left out
+    pytest.param(["region", "--m", str(10 ** 30), "--boundary", "--p-max", "1"],
+                 "--p-max must be > 2m/(m+1), got 1", id="region-p-max-huge-m"),
     pytest.param(["scan", "--m", "2", "--n", "3"],
                  "--seed is required for randomized subcommand 'scan'", id="scan-no-seed"),
     pytest.param(["scan", "--m", "2", "--n", "3", "--seed", "1", "--p", "2"],

@@ -130,6 +130,11 @@ def test_fit_exponent_degenerate_inputs():
         fit_exponent([(2, 4.0), (2, 5.0)])
     with pytest.raises(DegenerateInput):
         fit_exponent([(2, 4.0), (3, 0.0)])
+    # non-finite values or n, which would give slope nan or a LAPACK error
+    for bad in ([(2, 4.0), (3, math.nan)], [(2, 4.0), (3, math.inf)], [(2, 4.0), (math.nan, 5.0)],
+                [(2, 4.0), (math.inf, 5.0)]):
+        with pytest.raises(DegenerateInput, match="must be positive and finite"):
+            fit_exponent(bad)
 
 
 def test_sharpness_experiment_small():

@@ -198,6 +198,9 @@ def test_g_lower_bound_formula_domain():
     for m in (0, -1):  # the degree is checked before the threshold 2m/(m+1) divides by m + 1
         with pytest.raises(InvalidExponent, match="degree m must be an integer >= 1"):
             g_lower_bound_formula(m, 5, 3)
+    # 2m/(m+1) has 62 characters at m = 10**30, so the message leaves its value out
+    with pytest.raises(InvalidExponent, match=r"^lower bound requires p > 2m/\(m\+1\), got 1$"):
+        g_lower_bound_formula(10 ** 30, 2, 1)
     # just above the threshold is fine
     assert g_lower_bound_formula(2, 5, Fraction(4, 3) + Fraction(1, 1000)) > 0
 

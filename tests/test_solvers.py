@@ -16,6 +16,7 @@ from conftest import (
 )
 from gbswitch import (
     BudgetExceeded,
+    DimMismatch,
     DimSpec,
     LengthMismatch,
     Method,
@@ -450,6 +451,11 @@ def test_local_search_budget_domain():
     assert local_search(CF, start, max_sweeps=0).value == -2  # a zero budget returns the start
     with pytest.raises(ValueError, match="max_sweeps must be >= 0, got -1"):
         local_search(CF, start, max_sweeps=-1)
+    # a start of other dims is refused before any contraction
+    board = make_tensor(DimSpec(3, 2), [1] * 8)
+    for dims in (D22, DimSpec(3, 3)):
+        with pytest.raises(DimMismatch, match="dimension mismatch"):
+            local_search(board, make_assignment(dims, np.ones((dims.m, dims.n), dtype=np.int8)))
 
 
 def test_local_search_bounded_by_exact():

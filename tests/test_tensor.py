@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import contraction_loop, loop_form_value
+from gbswitch.lp import lp_norm
 from gbswitch.tensor import MAX_ENTRIES, _contract
 from gbswitch import (
     AxisOutOfRange,
@@ -234,6 +235,11 @@ def test_mixed_norm_examples():
     t = make_tensor(D22, [1, 1, 1, -1])
     assert mixed_norm(t, (3, 3)) == pytest.approx(4 ** (1 / 3), abs=1e-12)
     assert mixed_norm(t, (math.inf, math.inf)) == 1.0
+    # rows are scaled by their largest entry, so no power overflows or underflows
+    assert mixed_norm(np.full(3, 10.0), [400]) == pytest.approx(10 * 3 ** (1 / 400), rel=1e-15)
+    assert mixed_norm(np.full((2, 3), 1e-200), [2, 2]) == pytest.approx(math.sqrt(6) * 1e-200, rel=1e-15)
+    assert mixed_norm([math.inf, 1.0], [2]) == math.inf
+    assert mixed_norm(np.zeros((0, 3)), [2, 2]) == 0.0
 
 
 def test_mixed_norm_collapse_random(rng):
@@ -260,6 +266,11 @@ def test_mixed_norm_errors():
         mixed_norm(t, (-1.0, 2.0))
     with pytest.raises(DimMismatch):
         mixed_norm(t, (2.0,))
+    # lp_norm is mixed_norm with one exponent, so it has the same domain
+    assert lp_norm([], 2) == 0.0
+    for p in (0, -1, math.nan):
+        with pytest.raises(InvalidExponent, match="exponents must be > 0"):
+            lp_norm([1, 0, 2], p)
 
 
 @given(st.integers(0, 2**32 - 1))
