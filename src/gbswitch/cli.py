@@ -166,16 +166,16 @@ def parse_exponent_list(text: str) -> list:
 
 
 def _add_solver_options(sp: argparse.ArgumentParser, default_method: str) -> None:
-    """The options ``solve`` and ``scan`` share, in the order their usage lists them."""
+    """The options ``solve`` and ``scan`` share, in usage order; a method's own options are in args only if given."""
     sp.add_argument("--p", type=parse_exponent, default=math.inf)
-    sp.add_argument("--method", choices=tuple(_SOLVERS), default=default_method)
+    sp.add_argument("--method", choices=tuple(_METHODS), default=default_method)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--restarts", type=int, default=64)
-    sp.add_argument("--starts", type=int, default=8)
-    sp.add_argument("--sweeps-max", type=int, default=1000)
-    sp.add_argument("--max-flips", type=int, default=10_000)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--force", action="store_true", help="override the exact enumeration budget")
+    sp.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--starts", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--sweeps-max", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--max-flips", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--force", action="store_true", default=argparse.SUPPRESS, help="exact: run past 2**30 assignments")
 
 
 @functools.cache  # parsing never changes the parser, so one per process serves every run
@@ -261,25 +261,32 @@ def _bound_check(m: int, n: int, p, value, exact: bool) -> tuple[Optional[float]
     return reference, _verdict(value >= reference if exact else None)
 
 
-#: Solver per --method. All but alt maximise over sign vectors, so need p = inf.
-_SOLVERS = {
-    "exact": lambda T, args, seed: solvers.exact_max(T, allow_large=args.force),
-    "greedy": lambda T, args, seed: solvers.random_restart_greedy(T, args.restarts, seed),
-    "local": lambda T, args, seed: solvers.local_search(
-        T, tz.make_assignment(T.dims, sign_draws([mix(seed)], T.dims.m, T.dims.n)[0]), args.max_flips
-    ),
-    "alt": lambda T, args, seed: lp.alternating_max(
-        T, args.p, starts=args.starts, sweeps_max=args.sweeps_max, tol=args.tol, seed=seed
-    ),
+#: Per --method: its options with their defaults (None: required) and its solver; all but alt need p = inf.
+_METHODS = {
+    "exact": ({"force": False}, lambda T, p, force: solvers.exact_max(T, allow_large=force)),
+    "greedy": ({"seed": None, "restarts": 64}, lambda T, p, **kw: solvers.random_restart_greedy(T, **kw)),
+    "local": ({"seed": None, "max_flips": 10_000}, lambda T, p, seed, max_flips: solvers.local_search(
+        T, tz.make_assignment(T.dims, sign_draws([mix(seed)], T.dims.m, T.dims.n)[0]), max_flips)),
+    "alt": ({"seed": None, "starts": 8, "sweeps_max": 1000, "tol": 1e-10},
+            lambda T, p, **kw: lp.alternating_max(T, p, **kw)),
 }
 
 
-def _solve_one(T, args, seed) -> ExperimentRecord:
+def _method_options(args, *reads: str) -> dict:
+    """args.method's options, given or default; refuses any given that only other methods (not ``reads``) take."""
+    row = _METHODS[args.method][0]
+    for name in (name for other, _ in _METHODS.values() for name in other if name not in (*row, *reads)):
+        if getattr(args, name, None) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --method {args.method}")
     if args.method != "alt" and args.p != math.inf:
         raise ValueError(f"--method {args.method} requires --p inf")
+    return {k: _require_seed(args) if k == "seed" else getattr(args, k, v) for k, v in row.items()}
+
+
+def _solve_one(T, args, seed, options) -> ExperimentRecord:
     m, n = T.dims.m, T.dims.n
     t0 = time.perf_counter()
-    res = _SOLVERS[args.method](T, args, seed)
+    res = _METHODS[args.method][1](T, args.p, **options)
     witness = None if args.method == "alt" else witness_to_str(res.witness)
     reference, verdict = _bound_check(m, n, args.p, res.value, args.method == "exact")
     return ExperimentRecord(
@@ -289,17 +296,15 @@ def _solve_one(T, args, seed) -> ExperimentRecord:
 
 
 def _cmd_solve(args) -> list[ExperimentRecord]:
-    seed = None if args.method == "exact" else _require_seed(args)
-    T = tz.read_tensor(args.input)
-    return [_solve_one(T, args, seed)]
+    options = _method_options(args)
+    return [_solve_one(tz.read_tensor(args.input), args, options.get("seed"), options)]
 
 
 def _cmd_scan(args) -> list[ExperimentRecord]:
-    seed = _require_seed(args)
+    seed, options = _require_seed(args), _method_options(args, "seed")  # boards are drawn from --seed
     records = []
     for n in args.n:
-        T = _random_board(tz.DimSpec(args.m, n), mix(seed, n))
-        rec = _solve_one(T, args, seed)
+        rec = _solve_one(_random_board(tz.DimSpec(args.m, n), mix(seed, n)), args, seed, options)
         rec.witness = None
         records.append(rec)
     return records
@@ -353,6 +358,8 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
         raise ValueError(f"--m3-samples must be >= 0, got {args.m3_samples}")
     if args.m3_samples > 0:
         _require_seed(args)
+    elif args.seed is not None:
+        raise ValueError("--seed requires --m3-samples > 0")
     if not 2 <= args.blowup_n <= args.max_n:
         raise ValueError("--blowup-n must be within --max-n")
     records = []
@@ -407,6 +414,8 @@ def _cmd_region(args) -> list[ExperimentRecord]:
         raise ValueError("region requires --p and/or --boundary")
     if not args.boundary and (args.grid_points is not None or args.p_max is not None):
         raise ValueError("--grid-points and --p-max require --boundary")
+    if args.p is None and (args.r is not None or args.conjecture):
+        raise ValueError("--r and --conjecture require --p")
     records = []
     m = args.m
     too_large = "region exponent is too large for a float (above about 1.8e308)"  # --m or 1/--r near 1e308

@@ -138,8 +138,7 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
     """Values (B,) int64 and first-maximum witnesses (B, m, n) int8 of a (B, n**m) stack, in board-minor blocks."""
     nbits = n * (m - 1) - 1
     if nbits > EXACT_BUDGET_BITS and not allow_large:
-        raise BudgetExceeded(f"2**{nbits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget; "
-                             "pass allow_large=True to force")
+        raise BudgetExceeded(f"2**{nbits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget of exact enumeration")
     if m == 1:
         return np.full(len(boards), n, dtype=np.int64), _sign_of(boards).reshape(-1, 1, n)
     if n ** m >= 2 ** 31:  # such a board has >= 2**56 assignments (m = 20, n = 3): no int64 run could end

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import alternating_max_loop, sign_draws_loop
-from gbswitch import DimSpec, conjecture_exponent, evaluate, km_constant, read_tensor
+from gbswitch import DimSpec, conjecture_exponent, evaluate, km_constant, make_assignment, random_tensor, read_tensor
 from gbswitch import cli, experiments, lp, rng, solvers
 from gbswitch.cli import (
     CSV_HEADER,
@@ -583,11 +583,72 @@ _REGION_TOO_LARGE = "region exponent is too large for a float (above about 1.8e3
     pytest.param(["region", "--m", "2"], "region requires --p and/or --boundary", id="region-no-p"),
     pytest.param(["region", "--m", "2", "--p", "2", "--grid-points", "5"],
                  "--grid-points and --p-max require --boundary", id="grid-points-without-boundary"),
+    pytest.param(["region", "--m", "2", "--boundary", "--grid-points", "2", "--r", "2", "--conjecture"],
+                 "--r and --conjecture require --p", id="region-r-conjecture-without-p"),
+    pytest.param(["verify-bound", "--max-n", "3", "--seed", "5"],
+                 "--seed requires --m3-samples > 0", id="verify-bound-seed-without-m3-samples"),
+    pytest.param(["scan", "--m", "2", "--n", "32", "--method", "exact", "--seed", "1"],
+                 "2**31 assignments exceed the 2**30 budget of exact enumeration", id="scan-exact-over-budget"),
 ])
 def test_out_of_range_input_exits_2(argv, message, monkeypatch, capsys):
     code, out = invoke(argv, monkeypatch)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"gbswitch: error: {message}\n"
+
+
+#: Each method's own solver options, as args names; scan also reads --seed under every method.
+_METHOD_OPTIONS = {"exact": {"force"}, "greedy": {"seed", "restarts"}, "local": {"seed", "max_flips"},
+                   "alt": {"seed", "starts", "sweeps_max", "tol"}}
+#: A non-default argv value for each method-only option.
+_OPTION_ARGV = {"force": ["--force"], "restarts": ["--restarts", "5"], "max_flips": ["--max-flips", "2"],
+                "starts": ["--starts", "3"], "sweeps_max": ["--sweeps-max", "4"], "tol": ["--tol", "1e-3"]}
+
+
+def _scan_start(board, seed):
+    return make_assignment(board.dims, rng.sign_draws([rng.mix(seed)], board.dims.m, board.dims.n)[0])
+
+
+@pytest.mark.parametrize("method, defaults, solver", [
+    pytest.param("exact", [], lambda board, seed: solvers.exact_max(board, allow_large=True), id="exact"),
+    pytest.param("greedy", [], lambda board, seed: solvers.random_restart_greedy(board, 5, seed), id="greedy"),
+    pytest.param("local", [], lambda board, seed: solvers.local_search(board, _scan_start(board, seed), 2), id="local"),
+    pytest.param("alt", ["--p", "3"], lambda board, seed: lp.alternating_max(
+        board, Fraction(3), starts=3, sweeps_max=4, tol=1e-3, seed=seed), id="alt"),
+])
+def test_scan_passes_each_method_option_to_its_solver(method, defaults, solver, monkeypatch):
+    monkeypatch.setattr(solvers, "EXACT_BUDGET_BITS", 4)  # the 2**5 assignments of a 6 x 6 board need --force
+    argv = ["scan", "--m", "2", "--n", "6", "--seed", "3", "--method", method, *defaults]
+    own = [arg for name in sorted(_METHOD_OPTIONS[method] - {"seed"}) for arg in _OPTION_ARGV[name]]
+    code, out = invoke([*argv, *own], monkeypatch)
+    expected = repr(solver(random_tensor(DimSpec(2, 6), rng.generator(3, 6)), 3).value)
+    assert (code, out.splitlines()[1].split(",")[7]) == (0, expected)
+    code, out = invoke(argv, monkeypatch)  # at the defaults the value differs, or exact refuses the board
+    assert code == 2 if method == "exact" else out.splitlines()[1].split(",")[7] != expected
+
+
+@pytest.mark.parametrize("method, option", [
+    (method, option) for method in _METHOD_OPTIONS for option in _OPTION_ARGV if option not in _METHOD_OPTIONS[method]
+])
+def test_option_of_another_method_exits_2_before_any_board(method, option, cf_file, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a board was read or drawn")
+
+    monkeypatch.setattr(cli, "_random_board", unreachable)
+    monkeypatch.setattr(cli.tz, "read_tensor", unreachable)
+    seeded = [] if method == "exact" else ["--seed", "1"]  # solve reads a seed only for the methods that draw
+    for command in (["scan", "--m", "2", "--n", "3", "--seed", "1"], ["solve", "--input", cf_file, *seeded]):
+        argv = [*command, "--method", method, *_OPTION_ARGV[option]]
+        code, out = invoke(argv, monkeypatch)
+        assert (code, out) == (2, ""), argv
+        message = f"{_OPTION_ARGV[option][0]} does not apply to --method {method}"
+        assert capsys.readouterr().err == f"gbswitch: error: {message}\n", argv
+
+
+def test_solve_exact_refuses_seed(cf_file, monkeypatch, capsys):
+    code, out = invoke(["solve", "--input", cf_file, "--method", "exact", "--seed", "4"], monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "gbswitch: error: --seed does not apply to --method exact\n"
+    assert invoke(["scan", "--m", "2", "--n", "3", "--method", "exact", "--seed", "4"], monkeypatch)[0] == 0
 
 
 _HUGE = str(10 ** 30)
@@ -621,22 +682,35 @@ def _option_value(data, action, odd: bool) -> str:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_fuzz_exits_cleanly(command, data, tmp_path_factory):
-    """No argv drawn from the parser's own options escapes run(), and each exit code keeps its contract."""
+    """No argv drawn from the parser's own options escapes run(), and each exit code keeps its contract.
+
+    solve and scan draw --method first and then that method's own options (with --p inf unless it is alt); one
+    draw in four adds one option of another method, which must exit 2.
+    """
     folder = tmp_path_factory.mktemp("fuzz")
     board = folder / "board.json"
     board.write_text('{"m":2,"n":3,"entries":[1,1,-1,1,-1,1,-1,1,1]}\n')
-    options = [action for action in _SUBPARSERS[command]._actions
-               if action.option_strings and action.dest not in ("help", "json", "output")]
+    method = data.draw(st.sampled_from(sorted(_METHOD_OPTIONS))) if command in ("solve", "scan") else None
+    own = set() if method is None else _METHOD_OPTIONS[method] | ({"seed"} if command == "scan" else set())
+    others = set() if method is None else set().union(*_METHOD_OPTIONS.values()) - own
+    foreign = data.draw(st.sampled_from(sorted(others))) if others and data.draw(st.integers(0, 3)) == 0 else None
+    options = [action for action in _SUBPARSERS[command]._actions if action.option_strings
+               and action.dest not in ("help", "json", "output") and action.dest not in others - {foreign}]
     odd = data.draw(st.sampled_from([None, *(action.dest for action in options if action.type)]))
     argv = ["--json", command] if data.draw(st.booleans()) else [command]
+    kept = {odd, foreign, "method"} | (own & {"seed"})  # the drawn method and the seed it needs are always given
     for action in options:
-        if not action.required and action.dest != odd and data.draw(st.integers(0, 3)) == 0:
+        if not action.required and action.dest not in kept and data.draw(st.integers(0, 3)) == 0:
             continue
         if action.nargs == 0:
             argv.append(action.option_strings[0])
             continue
         if action.dest in ("input", "out"):
             value = str(board if action.dest == "input" else folder / "gen.json")
+        elif action.dest == "method":
+            value = method
+        elif action.dest == "p" and method in ("exact", "greedy", "local") and odd != "p":
+            value = "inf"  # the methods that maximise over sign vectors need p = inf
         elif action.choices:
             value = data.draw(st.sampled_from(list(action.choices)))
         else:
@@ -646,6 +720,7 @@ def test_cli_fuzz_exits_cleanly(command, data, tmp_path_factory):
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2), argv
+    assert foreign is None or code == 2, argv
     text = out.getvalue()
     if code == 2:
         assert text == "" and err.getvalue(), argv

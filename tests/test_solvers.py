@@ -237,9 +237,10 @@ def test_exact_max_batch_input_errors_before_kernel(monkeypatch):
     boards = sign_rows(4)
     values, witnesses = exact_max_batch(2, 2, boards.astype(np.float64))  # +/-1 floats pass, as in make_tensor
     assert values.tolist() == [exact_max(make_tensor(D22, row)).value for row in boards]
-    # the kernel refuses these before it allocates anything
+    # the kernel refuses these before it allocates anything, naming no lever (exact_max_batch has no allow_large)
+    budget = r"^2\*\*31 assignments exceed the 2\*\*30 budget of exact enumeration$"
     for m, n in ((2, 32), (3, 16)):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=budget):
             exact_max_batch(m, n, np.ones((1, n ** m), dtype=np.int8))
 
     def unreachable(m, n, stack):
