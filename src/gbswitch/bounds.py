@@ -276,12 +276,9 @@ def conjecture_exponent(m: int, p: Exponent, r: Optional[Exponent] = None):
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if math.isnan(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum well conditioned near 0
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+    """ln Gamma(x) for x >= 0.5, where the Lanczos sum is accurate (its callers pass 1 <= x <= 3/2)."""
+    if not x >= 0.5:  # NaN fails the comparison
+        raise ValueError(f"log_gamma requires x >= 0.5, got {x}")
     z = x - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):

@@ -23,8 +23,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import bounds, experiments, lp, solvers
 from . import tensor as tz
 from .errors import BudgetExceeded, DimMismatch, InvalidExponent
@@ -45,7 +43,7 @@ class ExperimentRecord:
     The field order is the CSV column order and the JSON key order.
     """
 
-    command: str
+    command: str = ""  # run() writes the subcommand's name into every record
     m: Optional[int] = None
     n: Optional[int] = None
     p: Optional[object] = None
@@ -63,18 +61,13 @@ _FIELDS = tuple(field.name for field in fields(ExperimentRecord))
 #: Every column but witness, which is added only when some record has one.
 CSV_HEADER = ",".join(_FIELDS[:-1])
 
-#: Text of a number by its exact type; any other type is a numpy scalar.
-_TEXT = {int: str, float: repr, Fraction: str}
+#: Text of a field by its exact type: "" for None, exact integers and rationals, else repr of the float.
+_TEXT = {type(None): lambda x: "", int: str, float: repr, Fraction: str}
 
 
 def _text(x) -> str:
-    """A field as CSV text: "" for None, exact integers and rationals, else repr of the float."""
-    if x is None:
-        return ""
-    fmt = _TEXT.get(type(x))
-    if fmt is not None:
-        return fmt(x)
-    return str(int(x)) if isinstance(x, np.integer) else repr(float(x))
+    """A non-str field as CSV text; every record field is None, an int, a float or a Fraction."""
+    return _TEXT[type(x)](x)
 
 
 def _verdict(ok: Optional[bool]) -> str:
@@ -187,36 +180,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve one tensor instance from a JSON file")
+    sp.set_defaults(handler=_cmd_solve)
     sp.add_argument("--input", required=True, help="tensor JSON file")
     _add_solver_options(sp, default_method="exact")
 
     sp = sub.add_parser("scan", help="value versus n for one solver on random boards")
+    sp.set_defaults(handler=_cmd_scan)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=parse_n_values, required=True)
     _add_solver_options(sp, default_method="greedy")
 
     sp = sub.add_parser("ksz", help="random-tensor minimum-norm sharpness experiment")
+    sp.set_defaults(handler=_cmd_ksz)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", type=parse_exponent, default=math.inf)
     sp.add_argument("--n", type=parse_n_values, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--tol", type=float, default=0.2)
-    sp.add_argument("--starts", type=int, default=8)
+    sp.add_argument("--starts", type=int, default=argparse.SUPPRESS)
 
     sp = sub.add_parser("verify-bound", help="exhaustive lower-bound and blow-up checks")
+    sp.set_defaults(handler=_cmd_verify_bound)
     sp.add_argument("--max-n", type=int, default=4, help="exhaust 2x2..max-n boards up to switching (m=2, at most 5)")
     sp.add_argument("--blowup-n", type=int, default=3)
     sp.add_argument("--r", type=parse_exponent_list, default=[Fraction(1), Fraction(4, 3), Fraction(2)])
     sp.add_argument("--m3-samples", type=int, default=0, help="also sample m=3, n=3 boards")
     sp.add_argument("--seed", type=int)
 
-    sub.add_parser("verify-extremal", help="check the eight minimal 2x2 boards exhaustively")
+    sp = sub.add_parser("verify-extremal", help="check the eight minimal 2x2 boards exhaustively")
+    sp.set_defaults(handler=_cmd_verify_extremal)
 
     sp = sub.add_parser("constants", help="asymptotic constant table")
+    sp.set_defaults(handler=_cmd_constants)
     sp.add_argument("--m", type=parse_int_list, required=True)
 
     sp = sub.add_parser("region", help="sharp-exponent region classifier")
+    sp.set_defaults(handler=_cmd_region)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--p", type=parse_exponent)
     sp.add_argument("--r", type=parse_exponent)
@@ -226,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-points", type=int)
 
     sp = sub.add_parser("gen", help="write a random sign tensor JSON file")
+    sp.set_defaults(handler=_cmd_gen)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int)
@@ -289,10 +290,8 @@ def _solve_one(T, args, seed, options) -> ExperimentRecord:
     res = _METHODS[args.method][1](T, args.p, **options)
     witness = None if args.method == "alt" else witness_to_str(res.witness)
     reference, verdict = _bound_check(m, n, args.p, res.value, args.method == "exact")
-    return ExperimentRecord(
-        command=args.command, m=m, n=n, p=args.p, seed=seed, method=args.method,
-        value=res.value, reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0), witness=witness,
-    )
+    return ExperimentRecord(m=m, n=n, p=args.p, seed=seed, method=args.method, value=res.value,
+                            reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0), witness=witness)
 
 
 def _cmd_solve(args) -> list[ExperimentRecord]:
@@ -312,22 +311,19 @@ def _cmd_scan(args) -> list[ExperimentRecord]:
 
 def _cmd_ksz(args) -> list[ExperimentRecord]:
     seed = _require_seed(args)
+    starts = {"starts": args.starts} if "starts" in args else {}  # only the ascent estimates read it
+    if starts and all(experiments.norm_is_exact(tz.DimSpec(args.m, n), args.p) for n in args.n):
+        raise ValueError("--starts does not apply when every norm is exact")
     t0 = time.perf_counter()
-    result = experiments.sharpness_experiment(
-        args.m, args.p, args.n, args.samples, seed, tol=args.tol, starts=args.starts
-    )
+    result = experiments.sharpness_experiment(args.m, args.p, args.n, args.samples, seed, tol=args.tol, **starts)
     elapsed = _runtime_ms(t0)
     records = []
     for s in result.samples:
         reference, verdict = _bound_check(s.m, s.n, s.p, s.min_norm, s.exact)
-        records.append(ExperimentRecord(
-            command="ksz", m=s.m, n=s.n, p=s.p, seed=seed, method="min-norm", value=s.min_norm,
-            reference=reference, verdict=verdict, runtime_ms=elapsed,
-        ))
-    records.append(ExperimentRecord(
-        command="ksz", m=args.m, p=args.p, seed=seed, method="slope", value=result.fit.slope,
-        reference=result.reference, verdict=_verdict(result.passed), runtime_ms=elapsed,
-    ))
+        records.append(ExperimentRecord(m=s.m, n=s.n, p=s.p, seed=seed, method="min-norm", value=s.min_norm,
+                                        reference=reference, verdict=verdict, runtime_ms=elapsed))
+    records.append(ExperimentRecord(m=args.m, p=args.p, seed=seed, method="slope", value=result.fit.slope,
+                                    reference=result.reference, verdict=_verdict(result.passed), runtime_ms=elapsed))
     return records
 
 
@@ -343,9 +339,9 @@ def _cmd_verify_extremal(args) -> list[ExperimentRecord]:
     elapsed = _runtime_ms(t0)
     ok_sets = (values == 2).tolist() == classified and classified.count(True) == 8
     return [
-        ExperimentRecord(command="verify-extremal", m=2, n=2, p=math.inf, method="min-value", value=int(values.min()),
+        ExperimentRecord(m=2, n=2, p=math.inf, method="min-value", value=int(values.min()),
                          reference=2, verdict=_verdict(values.min() >= 2), runtime_ms=elapsed),
-        ExperimentRecord(command="verify-extremal", m=2, n=2, p=math.inf, method="extremal-count",
+        ExperimentRecord(m=2, n=2, p=math.inf, method="extremal-count",
                          value=int((values == 2).sum()), reference=8, verdict=_verdict(ok_sets), runtime_ms=elapsed),
     ]
 
@@ -368,10 +364,8 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
         t0 = time.perf_counter()
         min_by_n[n] = best = min(solvers.value_census(2, n))
         reference, verdict = _bound_check(2, n, math.inf, best, True)
-        records.append(ExperimentRecord(
-            command="verify-bound", m=2, n=n, p=math.inf, method="norm-lower-bound", value=best,
-            reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0),
-        ))
+        records.append(ExperimentRecord(m=2, n=n, p=math.inf, method="norm-lower-bound", value=best,
+                                        reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0)))
     n = args.blowup_n
     for r in args.r:
         # every sign board has sum |a|^r = n^2 exactly, so the worst ratio
@@ -384,18 +378,15 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
         except (OverflowError, ZeroDivisionError):
             raise InvalidExponent("--r is too small for a float: n**(2/r) is above about 1.8e308") from None
         reference = bounds.km_constant(2)
-        records.append(ExperimentRecord(
-            command="verify-bound", m=2, n=n, p=math.inf, r=r, method="blowup-check", value=worst,
-            reference=reference, verdict=_verdict(worst <= reference), runtime_ms=_runtime_ms(t0),
-        ))
+        records.append(ExperimentRecord(m=2, n=n, p=math.inf, r=r, method="blowup-check", value=worst,
+                                        reference=reference, verdict=_verdict(worst <= reference),
+                                        runtime_ms=_runtime_ms(t0)))
     if args.m3_samples > 0:
         t0 = time.perf_counter()
         best = int(experiments.sample_min_norm(3, 3, math.inf, args.m3_samples, args.seed).min_norm)
         reference, verdict = _bound_check(3, 3, math.inf, best, True)
-        records.append(ExperimentRecord(
-            command="verify-bound", m=3, n=3, p=math.inf, seed=args.seed, method="sampled-bound", value=best,
-            reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0),
-        ))
+        records.append(ExperimentRecord(m=3, n=3, p=math.inf, seed=args.seed, method="sampled-bound", value=best,
+                                        reference=reference, verdict=verdict, runtime_ms=_runtime_ms(t0)))
     return records
 
 
@@ -404,8 +395,7 @@ def _cmd_constants(args) -> list[ExperimentRecord]:
     for m in args.m:
         t0 = time.perf_counter()
         value = bounds.bh_asymptotic_constant(m)
-        records.append(ExperimentRecord(command="constants", m=m, method="bh-constant", value=value,
-                                        runtime_ms=_runtime_ms(t0)))
+        records.append(ExperimentRecord(m=m, method="bh-constant", value=value, runtime_ms=_runtime_ms(t0)))
     return records
 
 
@@ -436,21 +426,20 @@ def _cmd_region(args) -> list[ExperimentRecord]:
             for i in range(1, points + 1):
                 p_i = lo + i * step
                 value = bounds.as_float(formula(m, bounds._inverse(p_i)), too_large)
-                records.append(ExperimentRecord(command="region", m=m, p=p_i, method=method, value=value,
-                                                runtime_ms=_runtime_ms(t0)))
+                records.append(ExperimentRecord(m=m, p=p_i, method=method, value=value, runtime_ms=_runtime_ms(t0)))
     if args.p is not None:
         t0 = time.perf_counter()
         verdict = bounds.unimodular_sharp_exponent(m, args.p)
         kind = verdict.kind if args.r is None else bounds.classify_point(m, args.p, args.r)
         lo, hi = verdict.interval if verdict.sharp_exponent is None else (verdict.sharp_exponent,) * 2
-        records.append(ExperimentRecord(command="region", m=m, p=args.p, r=args.r, method=kind.value,
+        records.append(ExperimentRecord(m=m, p=args.p, r=args.r, method=kind.value,
                                         value=bounds.as_float(lo, too_large),
                                         reference=bounds.as_float(hi, too_large), runtime_ms=_runtime_ms(t0)))
         if args.conjecture:
             conj = bounds.conjecture_exponent(m, args.p, args.r)
             value = None if conj == math.inf else bounds.as_float(conj, too_large)
-            records.append(ExperimentRecord(command="region", m=m, p=args.p, r=args.r,
-                                            method="conjecture-UNVERIFIED", value=value, runtime_ms=_runtime_ms(t0)))
+            records.append(ExperimentRecord(m=m, p=args.p, r=args.r, method="conjecture-UNVERIFIED", value=value,
+                                            runtime_ms=_runtime_ms(t0)))
     return records
 
 
@@ -459,19 +448,7 @@ def _cmd_gen(args) -> list[ExperimentRecord]:
     t0 = time.perf_counter()
     T = _random_board(tz.DimSpec(args.m, args.n), mix(seed))
     tz.write_tensor(args.out, T)
-    return [ExperimentRecord(command="gen", m=args.m, n=args.n, seed=seed, method="gen", runtime_ms=_runtime_ms(t0))]
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "scan": _cmd_scan,
-    "ksz": _cmd_ksz,
-    "verify-bound": _cmd_verify_bound,
-    "verify-extremal": _cmd_verify_extremal,
-    "constants": _cmd_constants,
-    "region": _cmd_region,
-    "gen": _cmd_gen,
-}
+    return [ExperimentRecord(m=args.m, n=args.n, seed=seed, method="gen", runtime_ms=_runtime_ms(t0))]
 
 
 def run(argv=None) -> int:
@@ -480,10 +457,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     try:
-        records = _COMMANDS[args.command](args)
+        records = args.handler(args)
     except _HANDLED_ERRORS as exc:
         print(f"gbswitch: error: {exc}", file=sys.stderr)
         return 2
+    for rec in records:
+        rec.command = args.command
     text = render(records, args.json)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:

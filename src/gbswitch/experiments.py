@@ -11,8 +11,7 @@ mix(seed, n, i); solver randomness, where needed, from mix(seed, n, i, 1).
 Sample minima therefore nest (more samples can only lower the minimum for
 the same root seed). The boards are drawn by ``rng.sign_draws`` in blocks
 of at most ``_BLOCK_ENTRIES`` entries, so memory does not grow with the
-sample count; exact norms take one ``exact_max_batch`` call per block, on
-the calling thread.
+sample count; exact norms take one ``exact_max_batch`` call per block.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .bounds import INF, as_exponent, ksz_exponent
 from .errors import DegenerateInput
-from .lp import alternating_max
+from .lp import _exponent_float, alternating_max
 from .rng import mix, sign_draws
 from .solvers import EXACT_BUDGET_BITS, exact_max_batch
 from .tensor import DimSpec, make_tensor
@@ -70,18 +69,25 @@ class SharpnessResult:
     passed: Optional[bool]
 
 
+def norm_is_exact(dims: DimSpec, p) -> bool:
+    """Whether sample_min_norm's norm on dims at p is exact: p = inf and n(m-1)-1 within the enumeration budget."""
+    return p == INF and dims.n * (dims.m - 1) - 1 <= EXACT_BUDGET_BITS
+
+
 def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int = 8) -> NormSample:
     """Minimum norm on (lp^n)^m over ``samples`` independent sign tensors.
 
-    Exact at p = inf when n(m-1)-1 fits the enumeration budget; otherwise
-    the norm is the alternating-ascent lower bound and the sample is
-    flagged ``exact=False``.
+    Exact where ``norm_is_exact``; otherwise the norm is the best of
+    ``starts`` alternating-ascent starts, a lower bound, and the sample is
+    flagged ``exact=False``. ``starts`` is checked on both paths.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     pc = as_exponent(p)
-    exact = pc == INF and (n * (m - 1) - 1) <= EXACT_BUDGET_BITS
     dims = DimSpec(m, n)
+    exact = norm_is_exact(dims, pc)
     block = max(1, _BLOCK_ENTRIES // dims.size)
     minima = []
     for i0 in range(0, samples, block):
@@ -96,6 +102,11 @@ def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int =
     return NormSample(m=m, n=n, p=pc, min_norm=float(min(minima)), samples=samples, seed=seed, exact=exact)
 
 
+def _require_two_n(ns: Iterable) -> None:
+    if len(set(ns)) < 2:
+        raise DegenerateInput("need at least two distinct n values")
+
+
 def fit_exponent(points: Iterable[tuple[float, float]]) -> FitResult:
     """Ordinary least squares of log(value) against log(n).
 
@@ -103,8 +114,7 @@ def fit_exponent(points: Iterable[tuple[float, float]]) -> FitResult:
     ``residual`` is the root-mean-square log residual.
     """
     pts = [(float(n), float(v)) for n, v in points]
-    if len({n for n, _ in pts}) < 2:
-        raise DegenerateInput("need at least two distinct n values")
+    _require_two_n(n for n, _ in pts)
     if not all(0 < n < INF and 0 < v < INF for n, v in pts):  # NaN fails both comparisons
         raise DegenerateInput("values and n must be positive and finite for a log-log fit")
     x = np.log([n for n, _ in pts])
@@ -135,9 +145,13 @@ def sharpness_experiment(
     compares the slope with ksz_exponent(m, p). The PASS/FAIL verdict is
     only issued when every norm is exact (p = inf within budget); estimated
     norms are lower bounds, so their minima cannot certify sharpness.
+    tol, p (as the ascent checks it) and the n count are checked before
+    the first draw.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    _exponent_float(p)
+    _require_two_n(n_values)
     norm_samples = tuple(sample_min_norm(m, n, p, samples, seed, starts=starts) for n in n_values)
     fit = fit_exponent((s.n, s.min_norm) for s in norm_samples)
     reference = float(ksz_exponent(m, p))

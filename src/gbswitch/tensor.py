@@ -28,6 +28,7 @@ from .errors import (
     NonUnimodularEntry,
     SizeOverflow,
 )
+from .rng import sign_vector
 
 MAX_ENTRIES = 1 << 40
 
@@ -121,8 +122,7 @@ def make_tensor(dims: DimSpec, entries) -> SignTensor:
 
 def random_tensor(dims: DimSpec, rng: np.random.Generator) -> SignTensor:
     """Uniform i.i.d. +/-1 tensor (the random-signs model of the norm experiments)."""
-    entries = rng.integers(0, 2, size=dims.size, dtype=np.int8) * 2 - 1
-    return SignTensor(dims, _frozen_i8(entries))
+    return SignTensor(dims, _frozen_i8(sign_vector(rng, dims.size)))
 
 
 def make_assignment(dims: DimSpec, vectors) -> SwitchAssignment:
@@ -156,7 +156,7 @@ def evaluate(tensor: SignTensor, assignment: SwitchAssignment) -> int:
 
 
 def evaluate_real(tensor: SignTensor, vectors: Sequence[np.ndarray]) -> float:
-    """Same m-fold sum with arbitrary real vectors, in float64."""
+    """Same m-fold sum with arbitrary real vectors, in float64, last axis first (``_contract``'s order)."""
     m, n = tensor.dims.m, tensor.dims.n
     if len(vectors) != m:
         raise DimMismatch(f"expected {m} vectors, got {len(vectors)}")
@@ -164,10 +164,8 @@ def evaluate_real(tensor: SignTensor, vectors: Sequence[np.ndarray]) -> float:
     for v in vecs:
         if v.shape != (n,):
             raise DimMismatch(f"expected vectors of length {n}, got shape {v.shape}")
-    cur = tensor.view().astype(np.float64)
-    for v in reversed(vecs):
-        cur = cur @ v
-    return float(cur)
+    stack = np.array(vecs[1:], dtype=np.float64).reshape(1, m - 1, n)
+    return float(_contract(tensor.view().astype(np.float64), stack)[0] @ vecs[0])
 
 
 def partial_contraction(tensor: SignTensor, axis: int, vectors: Sequence[np.ndarray]) -> np.ndarray:

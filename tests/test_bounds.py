@@ -25,7 +25,7 @@ from gbswitch import (
     unimodular_sharp_exponent,
     weak_l1_norm,
 )
-from gbswitch.bounds import EULER_GAMMA, RegionVerdict, as_float, log_gamma
+from gbswitch.bounds import EULER_GAMMA, RegionVerdict, as_exponent, as_float, harmonic, log_gamma
 
 INF = math.inf
 
@@ -40,10 +40,10 @@ def test_log_gamma_against_stdlib():
 
 
 def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.0)
+    # below 0.5 the Lanczos sum loses accuracy, so x < 0.5 is refused with x <= 0 and nan
+    for x in (0.25, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^log_gamma requires x >= 0.5, got {x}$"):
+            log_gamma(x)
 
 
 # --- summability exponents ---------------------------------------------------
@@ -243,6 +243,13 @@ def test_haagerup_f_values():
         haagerup_f(2.5)
 
 
+def test_harmonic():
+    assert harmonic(0) == 0.0
+    assert harmonic(4) == 25 / 12
+    with pytest.raises(ValueError, match=r"^harmonic requires n >= 0$"):
+        harmonic(-1)
+
+
 def test_bh_constant_table():
     table = {2: 1.2533, 5: 1.9895, 10: 3.0555, 100: 15.2457, 1000: 81.1974}
     for m, expected in table.items():
@@ -286,6 +293,18 @@ def test_km_constant():
     assert km_constant(2) == pytest.approx(1.674246118362773, rel=1e-12)
     assert KM_EXPONENT_LIMIT == pytest.approx(0.36481857726926087, rel=1e-12)
     assert KM_EXPONENT_LIMIT == (2 - math.log(2) - EULER_GAMMA) / 2
+
+
+def test_as_exponent():
+    assert as_exponent(3) == Fraction(3) and as_exponent(0.5) == Fraction(1, 2) and as_exponent(INF) == INF
+    for bad, message in ((True, "p must be a number, got bool"),
+                         (math.nan, "p must be a positive real or inf, got nan"),
+                         (-INF, "p must be a positive real or inf, got -inf"),
+                         ("2", "p must be int, float, Fraction, or inf, got str")):
+        with pytest.raises(InvalidExponent, match=rf"^{message}$"):
+            as_exponent(bad)
+    with pytest.raises(InvalidExponent, match=r"^r must be a number, got bool$"):
+        as_exponent(False, name="r")
 
 
 def test_as_float():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import io
 import itertools
@@ -7,6 +8,7 @@ import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import alternating_max_loop, sign_draws_loop
-from gbswitch import DimSpec, conjecture_exponent, evaluate, km_constant, make_assignment, random_tensor, read_tensor
+from gbswitch import (DimMismatch, DimSpec, conjecture_exponent, evaluate, km_constant, make_assignment, random_tensor,
+                      read_tensor)
 from gbswitch import cli, experiments, lp, rng, solvers
 from gbswitch.cli import (
     CSV_HEADER,
@@ -301,6 +304,17 @@ def test_ksz_rows(monkeypatch):
     assert [row.split(",")[2] for row in min_rows] == ["2", "3"]
 
 
+def test_ksz_starts_reaches_the_estimated_norms(monkeypatch):
+    argv = ["ksz", "--m", "2", "--p", "3", "--n", "3:4", "--samples", "2", "--seed", "2"]
+    rows = {}
+    for starts, given in ((8, []), (1, ["--starts", "1"])):
+        code, out = invoke([*argv, *given], monkeypatch)
+        rows[starts] = [row.split(",")[7] for row in out.splitlines() if ",min-norm," in row]
+        assert (code, rows[starts]) == (0, [repr(experiments.sample_min_norm(2, n, 3, 2, 2, starts=starts).min_norm)
+                                            for n in (3, 4)])
+    assert all(a != b for a, b in zip(rows[8], rows[1]))  # one start finds a smaller maximum on these boards
+
+
 def test_scan_rows(monkeypatch):
     code, out = invoke(
         ["scan", "--m", "2", "--n", "2:4", "--method", "exact", "--seed", "1"], monkeypatch
@@ -361,6 +375,8 @@ def test_witness_string_roundtrip():
     vecs = np.array([[1, -1, 1, 1], [-1, -1, 1, -1], [1, 1, -1, 1]], dtype=np.int8)
     s = make_assignment(dims, vecs)
     assert witness_from_str(witness_to_str(s), dims) == s
+    with pytest.raises(DimMismatch, match=r"^witness '\+-\|\+\+' does not match m=3, n=4$"):
+        witness_from_str("+-|++", dims)
 
 
 def test_determinism_across_workers(cf_file, monkeypatch, tmp_path):
@@ -375,6 +391,33 @@ def test_determinism_across_workers(cf_file, monkeypatch, tmp_path):
         assert code in (0, 1)
         outputs[workers] = out
     assert outputs["1"] == outputs["4"]
+
+
+def test_src_reads_no_environment_variable_but_the_fixed_runtime():
+    """Every os.environ or os.getenv access in src/gbswitch names GB_FIXED_RUNTIME_MS."""
+    reads = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not {alias.name for alias in node.names} & {"environ", "getenv", "*"}, path.name
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os"
+                    and node.attr in ("environ", "getenv")):
+                continue
+            use = parents[node]
+            if isinstance(use, ast.Attribute) and use.attr == "get":  # os.environ.get(name, ...)
+                use = parents[use]
+            if isinstance(use, ast.Call) and use.args:
+                key = use.args[0]
+            elif isinstance(use, ast.Subscript):  # os.environ[name]
+                key = use.slice
+            else:
+                key = None
+            name = key.value if isinstance(key, ast.Constant) else None
+            assert name == "GB_FIXED_RUNTIME_MS", f"{path.name}:{node.lineno} reads {ast.unparse(use)}"
+            reads.append(name)
+    assert reads  # the runtime pin itself is found
 
 
 def test_bad_fixed_runtime_exits_2(monkeypatch, capsys):
@@ -589,8 +632,25 @@ _REGION_TOO_LARGE = "region exponent is too large for a float (above about 1.8e3
                  "--seed requires --m3-samples > 0", id="verify-bound-seed-without-m3-samples"),
     pytest.param(["scan", "--m", "2", "--n", "32", "--method", "exact", "--seed", "1"],
                  "2**31 assignments exceed the 2**30 budget of exact enumeration", id="scan-exact-over-budget"),
+    # ksz checks --starts and the n count before its first draw
+    pytest.param(["ksz", "--m", "2", "--n", "2:3", "--samples", "4", "--seed", "1", "--starts", "99"],
+                 "--starts does not apply when every norm is exact", id="ksz-starts-all-exact"),
+    pytest.param(["ksz", "--m", "2", "--n", "2:3", "--samples", "4", "--seed", "1", "--starts", "-5"],
+                 "--starts does not apply when every norm is exact", id="ksz-starts-negative-all-exact"),
+    pytest.param(["ksz", "--m", "0", "--n", "2:3", "--samples", "4", "--seed", "1", "--starts", "3"],
+                 "m and n must be positive, got m=0 n=2", id="ksz-starts-m-0"),
+    pytest.param(["ksz", "--m", "2", "--p", "2", "--n", "2:3", "--samples", "4", "--seed", "1", "--starts", "-5"],
+                 "starts must be >= 1, got -5", id="ksz-starts-negative"),
+    pytest.param(["ksz", "--m", "2", "--p", "2", "--n", "7", "--samples", "500", "--seed", "1"],
+                 "need at least two distinct n values", id="ksz-one-n"),
+    pytest.param(["ksz", "--m", "2", "--p", "2", "--n", "5,5", "--samples", "500", "--seed", "1"],
+                 "need at least two distinct n values", id="ksz-repeated-n"),
 ])
 def test_out_of_range_input_exits_2(argv, message, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(experiments, "sign_draws", unreachable)  # ksz and --m3-samples refuse before drawing
     code, out = invoke(argv, monkeypatch)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"gbswitch: error: {message}\n"

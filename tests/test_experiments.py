@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,9 +158,32 @@ def test_sharpness_experiment_m3_two_points():
     assert result.fit.points == 2
 
 
-def test_sharpness_experiment_no_spread():
-    with pytest.raises(DegenerateInput):
-        sharpness_experiment(2, math.inf, [2, 2], 5, 0)
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a board was drawn")
+
+
+def test_sharpness_experiment_no_spread(monkeypatch):
+    monkeypatch.setattr(experiments, "sign_draws", _unreachable)  # the n count is checked before any draw
+    for n_values in ([2, 2], [7], [5, 5]):
+        with pytest.raises(DegenerateInput, match="^need at least two distinct n values$"):
+            sharpness_experiment(2, math.inf, n_values, 5, 0)
+
+
+@pytest.mark.parametrize("p, samples, starts, message", [
+    (math.inf, 0, 8, "samples must be >= 1, got 0"),
+    (math.inf, 4, 0, "starts must be >= 1, got 0"),  # the exact path reads no starts, but checks them
+    (2, 4, -5, "starts must be >= 1, got -5"),
+])
+def test_sample_min_norm_checks_counts_before_any_draw(p, samples, starts, message, monkeypatch):
+    monkeypatch.setattr(experiments, "sign_draws", _unreachable)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_min_norm(2, 3, p, samples, 0, starts=starts)
+
+
+def test_norm_sample_rejects_nonpositive_min_norm():
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^min_norm must be positive, got {value}$"):
+            experiments.NormSample(m=2, n=2, p=math.inf, min_norm=value, samples=1, seed=0, exact=True)
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan])

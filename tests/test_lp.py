@@ -10,6 +10,7 @@ from conftest import alternating_max_loop, ascent_runs, best_run, dual_coords_ve
 from gbswitch import (
     DimSpec,
     InvalidExponent,
+    LpPoint,
     alternating_max,
     dual_update,
     evaluate_real,
@@ -167,6 +168,19 @@ def test_alternating_max_trace_counts():
 def test_alternating_max_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be >= 0"):
         alternating_max(CF, 2, tol=tol)
+
+
+def test_alternating_max_rejects_bad_counts():
+    with pytest.raises(ValueError, match=r"^starts must be >= 1, got 0$"):
+        alternating_max(CF, 2, starts=0)
+    with pytest.raises(ValueError, match=r"^sweeps_max must be >= 1, got 0$"):
+        alternating_max(CF, 2, sweeps_max=0)
+
+
+def test_lp_point_rejects_coords_off_the_sphere():
+    assert LpPoint(2.0, [0.6, 0.8]).coords.tolist() == [0.6, 0.8]
+    with pytest.raises(ValueError, match=r"^coords are not on the unit l2.0 sphere$"):
+        LpPoint(2.0, [1.0, 1.0])
 
 
 def test_alternating_max_edge_tol_and_huge_p():

@@ -233,6 +233,12 @@ def test_exact_max_batch_rejects_corrupted_witness(monkeypatch):
             exact_max_batch(2, 3, sign_rows(9))
 
 
+def test_one_board_solvers_reject_a_witness_that_does_not_re_evaluate(monkeypatch):
+    monkeypatch.setattr(solvers, "evaluate", lambda tensor, witness: 99)
+    with pytest.raises(AssertionError, match=r"^witness re-evaluation mismatch: 99 != 2$"):
+        exact_max(CF)
+
+
 def test_exact_max_batch_input_errors_before_kernel(monkeypatch):
     boards = sign_rows(4)
     values, witnesses = exact_max_batch(2, 2, boards.astype(np.float64))  # +/-1 floats pass, as in make_tensor

@@ -22,6 +22,7 @@ from gbswitch import (
     all_ones_assignment,
     apply_switch,
     evaluate,
+    evaluate_real,
     from_json_dict,
     generator,
     make_assignment,
@@ -106,6 +107,29 @@ def test_evaluate_dim_mismatch():
     t = make_tensor(D22, [1, 1, 1, -1])
     with pytest.raises(DimMismatch):
         evaluate(t, all_ones_assignment(DimSpec(2, 3)))
+    with pytest.raises(DimMismatch, match=r"^expected 2 vectors of length 2, got shape \(2, 3\)$"):
+        make_assignment(D22, [[1, 1, 1], [1, -1, 1]])
+    with pytest.raises(DimMismatch, match=r"^expected 2 vectors, got 1$"):
+        evaluate_real(t, [np.ones(2)])
+    with pytest.raises(DimMismatch, match=r"^expected vectors of length 2, got shape \(3,\)$"):
+        evaluate_real(t, [np.ones(2), np.ones(3)])
+
+
+def test_equality_with_another_type_is_not_implemented():
+    t, s = make_tensor(D22, [1, 1, 1, -1]), all_ones_assignment(D22)
+    for obj, other in ((t, s), (s, t), (t, "t"), (s, None)):
+        assert obj.__eq__(other) is NotImplemented
+        assert obj != other
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_evaluate_real_is_the_contraction_loop(m):
+    rng = np.random.default_rng(m)
+    for n in (2, 3, 5, 8):
+        for k in range(10):
+            board = random_tensor(DimSpec(m, n), generator(m, n, k))
+            vecs = [rng.standard_normal(n) for _ in range(m)]
+            assert evaluate_real(board, vecs) == float(contraction_loop(board, 0, vecs[1:]) @ vecs[0])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 3))
@@ -317,6 +341,8 @@ def test_json_reader_rejections():
         from_json_dict({**good, "m": 2.0})
     with pytest.raises(ValueError):
         from_json_dict([1, 1, 1, -1])
+    with pytest.raises(ValueError, match="^tensor JSON field entries must be an array$"):
+        from_json_dict({**good, "entries": "1,1,1,-1"})
 
 
 class _One(int):
