@@ -2,7 +2,7 @@
 """Exhaustive census of exact game values over all n x n sign boards.
 
 Counts every +/-1 board for n up to --max-n (default 4, i.e. 2^16 boards;
-6, the most the census budget admits, takes about 40 s) through the
+6, the most the census budget admits, takes about 32 s) through the
 2^((n-1)^2) switching normal forms, each standing for the 2^(2n-1) boards
 of its class, all of one value. Prints the value histogram, the minimum
 against the proven lower bound n**1.5 / (1.3 * 2**0.365), and the count of

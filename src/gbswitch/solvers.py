@@ -10,10 +10,24 @@ matrix M, and axis m-2 splits into halves whose partial sums H = S_hi @ M_hi
 and L = S_lo @ M_lo are tabulated once by doubling trees, so c = H[hi] + L[lo]
 costs about n operations per assignment. A block (boards x prefixes x high
 halves x every low half, within max(2**_STACK_BITS * n, n**(m-1)) elements)
-is laid out board-minor, (prefix, high, n, low, board). Index order (prefix,
-high, low), most significant bit first, is lexicographic witness order (-1
-before +1); a board moves to a later block's first argmax only if strictly
-greater, so ties keep the smallest.
+is laid out (n, high, low, prefix, board): the last axis outermost, so sum|c|
+adds whole rows, and prefixes next to boards, so every pass runs over long
+rows. Its values are read in index order (prefix, high, low), most
+significant bit first, which is lexicographic witness order (-1 before +1);
+a board moves to a later block's first argmax only if strictly greater, so
+ties keep the smallest.
+
+Integer widths come from the board's own bound, not from a fixed type.
+Before the abs, every operation is an integer add or matmul whose true
+result (a partial contraction, a partial sum of one, or twice one row of
+one) has magnitude at most n**(m-1), so the board view, the prefix
+matrices, the sign-sum tables and c live in the narrowest signed type that
+holds +n**(m-1): int8 up to 127, int16 up to 32767, else int32
+(``min_scalar_type(-n**(m-1))`` would be off by one: -128 fits int8, +128
+does not). After it, sum|c| <= n**m is summed in the narrowest such type of
+at least int16. The witness decode sums in int32 and
+``exact_max_batch`` re-checks every witness in int64, so neither check
+shares the narrowed arithmetic.
 
 Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 (a zero partial sum contributes nothing), but witnesses stay reproducible.
@@ -119,19 +133,36 @@ def _sign_sums(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_matrices(view: np.ndarray, m: int, n: int, pbits: int, start: int, count_bits: int) -> np.ndarray:
-    """The (P, n, n, B) contractions of an (n**m, B) board-minor stack by the 2**count_bits prefixes from ``start``.
+def _prefix_matrices(view: np.ndarray, m: int, n: int, pbits: int, start: int, count_bits: int,
+                     memo: list) -> np.ndarray:
+    """The (n, n, P, B) contractions of an (n**m, B) board-minor stack by the 2**count_bits prefixes from ``start``.
 
     Axes left fixed by the varying last ``count_bits`` prefix bits contract
-    once; each later axis meets every partial result with its sign rows.
+    once per sign setting (``memo[a]`` keeps the latest contraction through
+    fixed axis a). Each later axis meets every partial result with its sign
+    rows, and its sign index becomes the outermost prefix digit, so every
+    pass runs over whole (prefix, board) rows; one transpose at the end puts
+    the digits in lexicographic order.
     """
-    fixed = _signs_at(start | 1 << pbits, pbits + 1)  # top bit: x0[0] = 1
-    cur = view.reshape(1, n, -1)
+    word = start | 1 << pbits  # top bit: x0[0] = 1
+    fixed = _signs_at(word, pbits + 1)
+    cur, digits = view, []  # cur: (n**(m-a), digits of the varying axes before a, last outermost, B)
     for a in range(m - 2):
         vary = min(n, max(0, count_bits - n * (m - 3 - a)))  # varying bits on axis a
-        base = fixed[a * n:(a + 1) * n - vary] @ cur[:, :n - vary]
-        cur = _sign_sums(base, cur.swapaxes(0, 1)[n - vary:]).swapaxes(0, 1).reshape(-1, n, cur.shape[-1] // n)
-    return cur.reshape(-1, n, n, view.shape[1])
+        if not vary:
+            key = word >> pbits + 1 - (a + 1) * n  # the signs of axes 0..a
+            if memo[a][0] == key:
+                cur = memo[a][1]
+                continue
+        rows = cur.reshape(n, -1)
+        sums = _sign_sums(fixed[a * n:(a + 1) * n - vary] @ rows[:n - vary], rows[n - vary:])
+        cur = sums.reshape(1 << vary, n ** (m - 1 - a), -1).swapaxes(0, 1).reshape(n ** (m - 1 - a), -1)
+        if vary:
+            digits.append(1 << vary)
+        else:
+            memo[a] = key, cur
+    order = (0, 1, *range(len(digits) + 1, 1, -1), len(digits) + 2)
+    return cur.reshape(n, n, *digits[::-1], view.shape[1]).transpose(order).reshape(n, n, -1, view.shape[1])
 
 
 def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -143,6 +174,9 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
         return np.full(len(boards), n, dtype=np.int64), _sign_of(boards).reshape(-1, 1, n)
     if n ** m >= 2 ** 31:  # such a board has >= 2**56 assignments (m = 20, n = 3): no int64 run could end
         raise BudgetExceeded(f"n**m = {n}**{m} is 2**31 or more, beyond the exact kernel's int32 sums")
+    # the widths of the module docstring: -1 - bound fits a signed type iff +bound does
+    part = np.min_scalar_type(-1 - n ** (m - 1))
+    total = np.promote_types(np.min_scalar_type(-1 - n ** m), np.int16)
     kbits = n - 1 if m == 2 else n  # free bits of axis m-2; the rest are prefix bits
     pbits, lbits = nbits - kbits, min(kbits // 2, _STACK_BITS)
     hbits = kbits - lbits
@@ -151,19 +185,20 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
     best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)
     witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
-        view = boards[b0:b0 + bblock].T.astype(np.int32, order="C")  # (n**m, B), board-minor
-        width = view.shape[1]
+        # (n**m, B), board-minor: every sum until the abs is a partial contraction within +-n**(m-1), in ``part``
+        view = boards[b0:b0 + bblock].T.astype(part, order="C")
+        width, memo = view.shape[1], [(-1, None)] * (m - 2)
         for p0 in range(0, 1 << pbits, 1 << pblock):
-            rows = _prefix_matrices(view, m, n, pbits, p0, pblock).swapaxes(0, 1)  # (n, P, n, B): rows of axis m-2
+            rows = _prefix_matrices(view, m, n, pbits, p0, pblock, memo)  # (n, n, P, B): axis m-2 first
             zero = np.zeros_like(rows[0])
-            lo = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits:]).transpose(1, 2, 0, 3))  # (P, n, 2**lbits, B)
-            mid = _sign_sums(zero, rows[n - lbits - hblock:n - lbits]).swapaxes(0, 1)  # (P, 2**hblock, n, B)
+            lo = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits:]).swapaxes(0, 1))  # (n, 2**lbits, P, B)
+            mid = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits - hblock:n - lbits]).swapaxes(0, 1))
             for h0 in range(0, 1 << hbits, 1 << hblock):
                 # the high bits this block fixes, after the pinned row 0 (top bit) at m = 2
                 head = _signs_at(h0 >> hblock | (m == 2) << (hbits - hblock), hbits - hblock + (m == 2))
                 hi = mid + (head @ rows[:len(head)].reshape(len(head), zero.size)).reshape(zero.shape)[:, None]
-                sums = hi[:, :, :, None] + lo[:, None]  # (P, 2**hblock, n, 2**lbits, B)
-                values = np.abs(sums, out=sums).sum(axis=2, dtype=np.int32).reshape(-1, width)
+                sums = hi[:, :, None] + lo[:, None]  # (n, 2**hblock, 2**lbits, P, B); sum|c| <= n**m fits ``total``
+                values = np.abs(sums, out=sums).sum(axis=0, dtype=total).transpose(2, 0, 1, 3).reshape(-1, width)
                 k = values.argmax(axis=0)
                 if width > 1:  # boards that share a block have no other block
                     best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=0), k
@@ -183,8 +218,10 @@ def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
 
     Runs the split kernel (see the module docstring) on a one-board stack;
     refuses instances with n(m-1)-1 > EXACT_BUDGET_BITS unless
-    ``allow_large`` is set. Sums are int32, exact as every |c_i| <= n**(m-1)
-    and every sum|c| <= n**m < 2**31; larger boards are refused.
+    ``allow_large`` is set. Partial sums use the narrowest signed type that
+    holds +n**(m-1), which bounds every |c_i|, and sum|c| the narrowest of
+    at least int16 that holds +n**m (see the module docstring); boards with
+    n**m >= 2**31 are refused.
     """
     m, n = tensor.dims.m, tensor.dims.n
     values, witnesses = _exact_kernel(m, n, tensor.entries[None], allow_large)

@@ -238,16 +238,22 @@ def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
     """lp norms of the rows of a nonnegative (S, n) array, for any p > 0 (inf allowed).
 
     Rows are scaled by their max entry (a zero or infinite max by 1), so no
-    power overflows or underflows (Blue 1978). The final power is a scalar
-    pow per row: numpy's SIMD ``**`` differs in the last bit on some CPUs,
-    and ascent values reach the CLI through ``repr``.
+    power overflows or underflows (Blue 1978). The final power is a Python
+    float pow per row, the libm ``pow`` that numpy's scalar ``**`` calls:
+    numpy's SIMD ``**`` differs in the last bit on some CPUs, and ascent
+    values reach the CLI through ``repr``.
     """
     top = a.max(axis=1, initial=0.0)
     if math.isinf(p):
         return top
     scale = np.where(np.isfinite(top) & (top > 0), top, 1.0)
     sums = ((a / scale[:, None]) ** p).sum(axis=1)
-    return np.array([t * float(s ** (1.0 / p)) for t, s in zip(top.tolist(), sums)])
+    root = 1.0 / p
+    try:
+        powers = [s ** root for s in sums.tolist()]
+    except OverflowError:  # Python's pow raises where numpy's scalar pow gives inf (a sum past 1, p tiny)
+        powers = [float(s ** root) for s in sums]
+    return top * np.array(powers)
 
 
 def mixed_norm(data, exponents: MixedExponents) -> float:

@@ -158,6 +158,53 @@ def test_exact_max_first_maximum_past_the_first_block(m, n, seed):
     assert batch_values[0] == values.max() and witnesses[0].tolist() == expected
 
 
+def _planted_boards(m, n):
+    """The all +1, all -1 and a seeded rank-one board, each with its lexicographically first maximising witness.
+
+    Board y_0 x ... x y_(m-1) reaches n**m exactly at x_a = e_a y_a with
+    prod e_a = +1. The pin x0[0] = +1 sets e_0 = y_0[0], lex order (-1 first)
+    sets x_a[0] = -1 on axes 1..m-2, and sign(c) closes the last axis.
+    """
+    dims, ones = DimSpec(m, n), np.ones((m, n), dtype=np.int8)
+    minus = ones.copy()
+    minus[0] = -1
+    boards = []
+    for y in (ones, minus, generator(20, m, n).integers(0, 2, (m, n), dtype=np.int8) * 2 - 1):
+        signs = [y[0, 0]] + [-y[a, 0] for a in range(1, m - 1)]
+        witness = [s * y[a] for a, s in enumerate(signs)] + [np.prod(signs) * y[-1]]
+        boards.append((apply_switch(make_tensor(dims, [1] * n ** m), make_assignment(dims, y)), np.array(witness)))
+    return boards
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+def test_planted_witness_is_the_lex_first_maximum(m, n):
+    for board, witness in _planted_boards(m, n):
+        assert lex_first_exact(board) == (n ** m, witness.tolist())
+
+
+# n**(m-1) bounds the kernel's partial sums and n**m its totals: 64 and 128 meet int8's +127, and (4, 5) to
+# (5, 4) take int8 or int16 on either side of it.
+@pytest.mark.parametrize("m,n", [(7, 2), (8, 2), (4, 5), (4, 6), (5, 3), (5, 4)])
+def test_exact_kernel_widths_hold_the_extreme_values(m, n):
+    boards = _planted_boards(m, n)
+    for board, witness in boards:
+        res = exact_max(board)
+        assert res.value == n ** m and res.witness.vectors.tolist() == witness.tolist()
+    values, witnesses = exact_max_batch(m, n, np.array([board.entries for board, _ in boards]))
+    assert values.tolist() == [n ** m] * 3
+    assert witnesses.tolist() == [witness.tolist() for _, witness in boards]
+
+
+# n**m = 16384, 32768 and 65536 meet int16's +32767, and n**(m-1) does at (16, 2). These boards have 2**27 to
+# 2**29 assignments (up to ~15 s on 2 cores), so each size solves one board: the planted one. Its one-board
+# stack runs the kernel exactly as exact_max does, and the batch path adds the int64 re-check.
+@pytest.mark.parametrize("m,n", [(14, 2), (15, 2), (16, 2)])
+def test_exact_kernel_widths_hold_n_m_past_int16(m, n):
+    board, witness = _planted_boards(m, n)[2]
+    values, witnesses = exact_max_batch(m, n, board.entries[None])
+    assert values.tolist() == [n ** m] and witnesses[0].tolist() == witness.tolist()
+
+
 def _assert_batch_matches_exact_max(m, n, boards):
     values, witnesses = exact_max_batch(m, n, boards)
     assert values.dtype == np.int64 and witnesses.dtype == np.int8

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import contraction_loop, loop_form_value
 from gbswitch.lp import lp_norm
-from gbswitch.tensor import MAX_ENTRIES, _contract
+from gbswitch.tensor import MAX_ENTRIES, _contract, _row_norms
 from gbswitch import (
     AxisOutOfRange,
     DimMismatch,
@@ -263,7 +263,24 @@ def test_mixed_norm_examples():
     assert mixed_norm(np.full(3, 10.0), [400]) == pytest.approx(10 * 3 ** (1 / 400), rel=1e-15)
     assert mixed_norm(np.full((2, 3), 1e-200), [2, 2]) == pytest.approx(math.sqrt(6) * 1e-200, rel=1e-15)
     assert mixed_norm([math.inf, 1.0], [2]) == math.inf
+    with pytest.warns(RuntimeWarning, match="overflow"):  # 2.0 ** 2000: inf, as numpy's scalar pow gives
+        assert mixed_norm(np.ones(2), [0.0005]) == math.inf
     assert mixed_norm(np.zeros((0, 3)), [2, 2]) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("p", [0.0005, 0.5, 1.0, 4 / 3, 2.0, 3.0, 7.5, 400.0, math.inf])
+def test_row_norms_final_power_matches_numpy_scalar_pow(p, rng):
+    # rows over 600 decades, constant rows, zero rows, an inf row and a row whose sum overflows at p = 0.0005
+    a = np.abs(rng.normal(size=(2000, 6))) * 10.0 ** rng.integers(-300, 300, size=(2000, 1))
+    a = np.vstack((a, np.ones((3, 6)), np.zeros((2, 6)), [[math.inf] + [1.0] * 5]))
+    top = a.max(axis=1, initial=0.0)
+    if math.isinf(p):
+        expected = top
+    else:
+        sums = ((a / np.where(np.isfinite(top) & (top > 0), top, 1.0)[:, None]) ** p).sum(axis=1)
+        expected = np.array([t * float(s ** (1.0 / p)) for t, s in zip(top.tolist(), sums)])  # numpy scalar pow
+    assert _row_norms(a, p).tobytes() == expected.tobytes()
 
 
 def test_mixed_norm_collapse_random(rng):
