@@ -347,7 +347,9 @@ def _cmd_verify_extremal(args) -> list[ExperimentRecord]:
 
 
 def _cmd_verify_bound(args) -> list[ExperimentRecord]:
-    if args.max_n - 1 > math.isqrt(_SWEEP_BITS):  # (max_n-1)**2 > _SWEEP_BITS; max_n < 2 fails --blowup-n below
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
+    if args.max_n - 1 > math.isqrt(_SWEEP_BITS):  # (max_n-1)**2 > _SWEEP_BITS
         raise BudgetExceeded(f"--max-n {args.max_n} would tabulate 2**{(args.max_n - 1) ** 2} normal-form boards; "
                              f"the limit is 2**{_SWEEP_BITS} boards (--max-n {math.isqrt(_SWEEP_BITS) + 1})")
     if args.m3_samples < 0:
@@ -357,7 +359,7 @@ def _cmd_verify_bound(args) -> list[ExperimentRecord]:
     elif args.seed is not None:
         raise ValueError("--seed requires --m3-samples > 0")
     if not 2 <= args.blowup_n <= args.max_n:
-        raise ValueError("--blowup-n must be within --max-n")
+        raise ValueError(f"--blowup-n must be in 2..{args.max_n} (--max-n), got {args.blowup_n}")
     records = []
     min_by_n = {}
     for n in range(2, args.max_n + 1):
@@ -458,17 +460,17 @@ def run(argv=None) -> int:
         return 2 if exc.code is None else int(exc.code)
     try:
         records = args.handler(args)
+        for rec in records:
+            rec.command = args.command
+        text = render(records, args.json)
+        if args.output:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except _HANDLED_ERRORS as exc:
         print(f"gbswitch: error: {exc}", file=sys.stderr)
         return 2
-    for rec in records:
-        rec.command = args.command
-    text = render(records, args.json)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 1 if any(rec.verdict == FAIL for rec in records) else 0
 
 

@@ -35,7 +35,6 @@ Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 
 from __future__ import annotations
 
-import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -262,12 +261,11 @@ def value_census(m: int, n: int) -> dict[int, int]:
     bits = free + n * (m - 1) - 1  # 2**free forms of 2**(n(m-1)-1) assignments: one solve's budget for all
     if bits > EXACT_BUDGET_BITS:
         raise BudgetExceeded(f"value_census({m}, {n}): 2**{bits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget")
-    hist = collections.Counter()
+    hist = np.zeros(n ** m + 1, dtype=np.int64)  # every value lies in 0..n**m
     for k0 in range(0, 1 << free, 1 << _STACK_BITS):
         boards = _normal_forms(m, n, k0, min(k0 + (1 << _STACK_BITS), 1 << free))
-        values, counts = np.unique(exact_max_batch(m, n, boards)[0], return_counts=True)
-        hist.update(dict(zip(values.tolist(), counts.tolist())))
-    return {value: hist[value] << m * (n - 1) + 1 for value in sorted(hist)}
+        hist += np.bincount(exact_max_batch(m, n, boards)[0], minlength=len(hist))
+    return {v: c << m * (n - 1) + 1 for v, c in enumerate(hist.tolist()) if c}
 
 
 def majority_fix(tensor: SignTensor, partial) -> tuple[np.ndarray, int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,13 +23,14 @@ import numpy as np
 
 from .errors import (
     AxisOutOfRange,
+    BudgetExceeded,
     DimMismatch,
     InvalidExponent,
     LengthMismatch,
     NonUnimodularEntry,
     SizeOverflow,
 )
-from .rng import sign_vector
+from .rng import MAX_DRAW_ENTRIES, sign_vector
 
 MAX_ENTRIES = 1 << 40
 
@@ -160,12 +162,10 @@ def evaluate_real(tensor: SignTensor, vectors: Sequence[np.ndarray]) -> float:
     m, n = tensor.dims.m, tensor.dims.n
     if len(vectors) != m:
         raise DimMismatch(f"expected {m} vectors, got {len(vectors)}")
-    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    for v in vecs:
-        if v.shape != (n,):
-            raise DimMismatch(f"expected vectors of length {n}, got shape {v.shape}")
-    stack = np.array(vecs[1:], dtype=np.float64).reshape(1, m - 1, n)
-    return float(_contract(tensor.view().astype(np.float64), stack)[0] @ vecs[0])
+    first, *rest = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if first.shape != (n,):
+        raise DimMismatch(f"expected vectors of length {n}, got shape {first.shape}")
+    return float(partial_contraction(tensor, 0, rest) @ first)
 
 
 def partial_contraction(tensor: SignTensor, axis: int, vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -326,5 +326,15 @@ def write_tensor(path, tensor: SignTensor) -> None:
 
 
 def read_tensor(path) -> SignTensor:
+    """The tensor in a wire-format file; one over 8 * 2**27 + 4096 bytes is refused unparsed (BudgetExceeded).
+
+    json.load would hold all of it before DimSpec sees m and n. 2**27 is rng.MAX_DRAW_ENTRIES, the cap on every
+    board the CLI draws; 8 bytes an entry, against 2 or 3 for "1," or "-1,", leaves room for whitespace.
+    """
+    limit = 8 * MAX_DRAW_ENTRIES + 4096
     with open(path, "r", encoding="ascii") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > limit:
+            raise BudgetExceeded(f"tensor file {path} has {size} bytes; the limit is {limit} "
+                                 f"(2**{MAX_DRAW_ENTRIES.bit_length() - 1} entries at 8 bytes each, plus 4096)")
         return from_json_dict(json.load(fh))

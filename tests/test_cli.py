@@ -153,12 +153,25 @@ def test_verify_bound_checks_blowup_n_before_any_sweep(blowup_n, monkeypatch, ca
     monkeypatch.setattr(solvers, "exact_max_batch", unreachable)
     code, out = invoke(["verify-bound", "--max-n", "3", "--blowup-n", blowup_n], monkeypatch)
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err.endswith("error: --blowup-n must be within --max-n\n")
+    assert capsys.readouterr().err.endswith(f"error: --blowup-n must be in 2..3 (--max-n), got {blowup_n}\n")
 
 
 def test_missing_input_file(tmp_path):
     code, _ = invoke(["solve", "--input", str(tmp_path / "none.json")])
     assert code == 2
+
+
+def test_oversized_input_file_exits_2_unparsed(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("json.load reached")
+
+    monkeypatch.setattr(json, "load", unreachable)
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as fh:
+        fh.truncate(8 * rng.MAX_DRAW_ENTRIES + 4097)  # sparse: no disk, no memory
+    assert invoke(["solve", "--input", str(path)], monkeypatch) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("gbswitch: error: tensor file ") and err.count("\n") == 1
 
 
 def test_invalid_subcommand():
@@ -364,6 +377,14 @@ def test_output_options_after_the_subcommand(command, cf_file, tmp_path, monkeyp
     target = tmp_path / "rows.json"
     assert invoke([*command, "--output", str(target), "--json"], monkeypatch) == (0, "")
     assert target.read_text() == before[1]
+
+
+@pytest.mark.parametrize("target", ["missing/rows.csv", "."], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_2(target, cf_file, tmp_path, monkeypatch, capsys):
+    argv = ["solve", "--input", cf_file, "--output", str(tmp_path / target)]
+    assert invoke(argv, monkeypatch) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("gbswitch: error: ") and err.count("\n") == 1
 
 
 def test_witness_string_roundtrip():
@@ -621,8 +642,11 @@ _REGION_TOO_LARGE = "region exponent is too large for a float (above about 1.8e3
     pytest.param(["scan", "--m", "2", "--n", "3", "--seed", "1", "--p", "2"],
                  "--method greedy requires --p inf", id="greedy-finite-p"),
     pytest.param(["verify-bound", "--max-n", "3", "--blowup-n", "4"],
-                 "--blowup-n must be within --max-n", id="blowup-n-above-max-n"),
-    pytest.param(["verify-bound", "--max-n", "-5"], "--blowup-n must be within --max-n", id="max-n-negative"),
+                 "--blowup-n must be in 2..3 (--max-n), got 4", id="blowup-n-above-max-n"),
+    pytest.param(["verify-bound", "--max-n", "4", "--blowup-n", "1"],
+                 "--blowup-n must be in 2..4 (--max-n), got 1", id="blowup-n-below-2"),
+    pytest.param(["verify-bound", "--max-n", "-5"], "--max-n must be >= 2, got -5", id="max-n-negative"),
+    pytest.param(["verify-bound", "--max-n", "1", "--blowup-n", "1"], "--max-n must be >= 2, got 1", id="max-n-1"),
     pytest.param(["region", "--m", "2"], "region requires --p and/or --boundary", id="region-no-p"),
     pytest.param(["region", "--m", "2", "--p", "2", "--grid-points", "5"],
                  "--grid-points and --p-max require --boundary", id="grid-points-without-boundary"),

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import contraction_loop, loop_form_value
 from gbswitch.lp import lp_norm
+from gbswitch.rng import MAX_DRAW_ENTRIES
 from gbswitch.tensor import MAX_ENTRIES, _contract, _row_norms
 from gbswitch import (
     AxisOutOfRange,
+    BudgetExceeded,
     DimMismatch,
     DimSpec,
     InvalidExponent,
@@ -337,6 +339,18 @@ def test_json_roundtrip(tmp_path):
     assert set(obj) == {"m", "n", "entries"}
     assert obj["m"] == 3 and obj["n"] == 2
     assert all(e in (-1, 1) for e in obj["entries"])
+
+
+def test_read_tensor_refuses_an_oversized_file_unparsed(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("json.load reached")
+
+    monkeypatch.setattr(json, "load", unreachable)
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as fh:
+        fh.truncate(8 * MAX_DRAW_ENTRIES + 4097)  # sparse: no disk, no memory
+    with pytest.raises(BudgetExceeded, match="has 1073745921 bytes; the limit is 1073745920 "):
+        read_tensor(path)
 
 
 def test_json_reader_rejections():
