@@ -9,9 +9,12 @@ A seed's stream is numpy's ``np.random.Generator(np.random.PCG64(seed))``;
 reference. ``sign_draws`` computes the same bytes for a stack of seeds in
 integer arithmetic fixed by numpy's sources, and draws nothing from numpy:
 the ``SeedSequence`` pool hash and ``generate_state(4, uint64)`` in uint32,
-PCG64's ``srandom`` (two 128-bit LCG steps), then every output at once by
-the LCG's closed-form jump state_t = A_t state_0 + C_t inc mod 2**128
-(O'Neill 2014) and PCG64's XSL-RR output, in uint64 from 32-bit limbs.
+one vectorised round per pool word over a (4, B) array with the hash
+constants precomputed, then every output at once by the LCG's closed-form
+jump (O'Neill 2014) and PCG64's XSL-RR output, in uint64 from 32-bit limbs.
+PCG64's ``srandom`` is the first of those jumps: it sets state_0 =
+(initstate + inc) M + inc, so the t-th output's state is
+A_(t+1) (initstate + inc) + C_(t+1) inc mod 2**128.
 """
 
 from __future__ import annotations
@@ -71,36 +74,42 @@ def sign_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    # SeedSequence's hashmix (mult _MULT_A) and output hash (mult _MULT_B); const advances on every call
-    value = value ^ np.uint32(const)
-    const = const * mult & _MASK32
-    value = value * np.uint32(const)
-    return value ^ (value >> np.uint32(16)), const
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """(calls + 1, 1) uint32: the hash constant of SeedSequence before each of ``calls`` calls, then after the last."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# hashmix: 4 entropy words, then 3 per pool word (one round each); the output hash: 8 words
+_CONSTS_A = _hash_consts(_INIT_A, _MULT_A, 4 * _POOL_SIZE)
+_CONSTS_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_OTHERS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix (mult _MULT_A) and output hash (mult _MULT_B): call k xors value k with
+    # constant k and multiplies it by constant k + 1, the constant after that call's advance
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> np.uint32(16))
 
 
 def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` of each uint64 seed, as (B, 4) uint64."""
     # a seed below 2**32 has one entropy word, and the pool hashes the
     # missing second word as 0, which is what its zero high word gives
-    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
-    words += [np.zeros_like(words[0])] * (_POOL_SIZE - len(words))
-    const, pool = _INIT_A, []
-    for word in words:
-        value, const = _hashmix(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const, _MULT_A)
-                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * value
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    state = np.empty((len(seeds), 2 * _POOL_SIZE), dtype=np.uint32)
-    const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        state[:, i], const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds, seeds >> np.uint64(32)  # the assignment keeps the low 32 bits
+    pool = _hashmix(pool, _CONSTS_A[:_POOL_SIZE + 1])
+    for src, others in enumerate(_OTHERS):  # word src mixes into the other three; it is itself unchanged
+        k = _POOL_SIZE + 3 * src
+        value = _hashmix(pool[src], _CONSTS_A[k:k + 4])  # (3, B): one hashmix per other word
+        mixed = np.uint32(_MIX_MULT_L) * pool[others] - np.uint32(_MIX_MULT_R) * value
+        pool[others] = mixed ^ (mixed >> np.uint32(16))
+    state = _hashmix(np.concatenate((pool, pool)), _CONSTS_B)
     # word k of the uint64 state is 32-bit words 2k (low) and 2k+1 (high)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def _mul128(a_hi, a_lo, b_hi, b_lo):
@@ -153,17 +162,19 @@ def sign_draws(seeds, count: int, n: int) -> np.ndarray:
     steps = -(-count * width // 8)
     out = np.empty((len(seeds), count, n), dtype=np.int8)
     block = max(1, _DRAW_CHUNK // max(1, steps))
-    a_hi, a_lo, c_hi, c_lo = _jumps(min(_DRAW_CHUNK, 1 << max(0, steps - 1).bit_length()))
+    a_hi, a_lo, c_hi, c_lo = _jumps(min(_DRAW_CHUNK, 1 << max(0, steps - 1).bit_length()) + 1)
     for b0 in range(0, len(seeds), block):
         words = _pcg64_words(seeds[b0:b0 + block])[:, :, None]
-        # srandom(initstate, initseq): inc = 2 initseq + 1, state = (inc + initstate) M + inc
+        # srandom(initstate, initseq): inc = 2 initseq + 1, state_0 = (initstate + inc) M + inc, so the
+        # t-th output's state is A_(t+1) (initstate + inc) + C_(t+1) inc: the first pass reads one column on
         inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
-        s_hi, s_lo = _add128(*_mul128(*_add128(*inc, words[:, 0], words[:, 1]), a_hi[:1], a_lo[:1]), *inc)
+        (s_hi, s_lo), j = _add128(*inc, words[:, 0], words[:, 1]), 1
         signs = np.empty((len(words), steps * 8), dtype=np.int8)
         for t0 in range(0, steps, _DRAW_CHUNK):
             t = min(_DRAW_CHUNK, steps - t0)
-            hi, lo = _add128(*_mul128(a_hi[:t], a_lo[:t], s_hi, s_lo), *_mul128(c_hi[:t], c_lo[:t], *inc))
-            s_hi, s_lo = hi[:, -1:], lo[:, -1:]
+            hi, lo = _add128(*_mul128(a_hi[j:j + t], a_lo[j:j + t], s_hi, s_lo),
+                             *_mul128(c_hi[j:j + t], c_lo[j:j + t], *inc))
+            s_hi, s_lo, j = hi[:, -1:], lo[:, -1:], 0
             rot, word = hi >> 58, hi ^ lo  # XSL-RR: xor-fold, then rotate right by the top 6 bits
             word = word >> rot | word << ((64 - rot) & 63)
             signs[:, 8 * t0:8 * (t0 + t)] = word.astype("<u8", copy=False).view(np.uint8) >> 7

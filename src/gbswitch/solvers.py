@@ -1,12 +1,21 @@
 """Switching-game solvers over +/-1 assignments.
 
-The exact solver enumerates sign assignments of axes 0..m-2 with the first
-coordinate of axis 0 pinned to +1 (a global sign flip of one axis never
-changes the achievable value, so half the vertex set is redundant) and
-closes the last axis analytically: for partial sums c, the optimal last
-vector is sign(c) with value sum|c|. It meets in the middle (Horowitz and
-Sahni): each prefix (signs of axes 0..m-3) contracts the board to an n x n
-matrix M, and axis m-2 splits into halves whose partial sums H = S_hi @ M_hi
+The exact solver enumerates sign assignments of axes 0..m-2 and closes the
+last axis analytically: for partial sums c, the optimal last vector is
+sign(c) with value sum|c|. Flipping any one axis a <= m-2 negates every c
+and keeps sum|c|, so the value and witness are the first maximum, in
+lexicographic order (-1 before +1), over the 2**(n(m-1)-1) assignments with
+x0[0] = +1. The kernel visits only the 2**((n-1)(m-1)) of them that also
+have x_a[0] = -1 on each axis 1 <= a <= m-2: flipping such an x_a keeps
+x0[0], and where x_a[0] = +1 it gives a lexicographically smaller
+assignment of the same value (x_a[0] is the first coordinate that changes),
+so the first maximum has x_a[0] = -1. Dropping the pinned coordinates keeps
+the order of the rest: the enumeration index holds n-1 bits per axis, and
+``_pinned_words`` spells it back into sign words.
+
+The kernel meets in the middle (Horowitz and Sahni): each prefix (signs of
+axes 0..m-3) contracts the board to an n x n matrix M, and the free
+coordinates of axis m-2 split into halves whose partial sums H = S_hi @ M_hi
 and L = S_lo @ M_lo are tabulated once by doubling trees, so c = H[hi] + L[lo]
 costs about n operations per assignment. A block (boards x prefixes x high
 halves x every low half, within max(2**_STACK_BITS * n, n**(m-1)) elements)
@@ -67,7 +76,12 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Achieved value with its witness; the witness re-evaluates to the value."""
+    """Achieved value with its witness; the witness re-evaluates to the value.
+
+    ``evaluations`` counts the assignments the value is certified over: for
+    ``Method.EXACT``, all 2**(n(m-1)-1) with x0[0] = +1, of which the kernel
+    visits 2**((n-1)(m-1)) (see the module docstring).
+    """
 
     value: int
     witness: SwitchAssignment
@@ -132,8 +146,20 @@ def _sign_sums(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_matrices(view: np.ndarray, m: int, n: int, pbits: int, start: int, count_bits: int,
-                     memo: list) -> np.ndarray:
+def _pinned_words(idx, axes: int, n: int):
+    """The ``_signs_at`` words of ``axes`` axes (n bits each) of a reduced index: x0[0] = +1, x_a[0] = -1 for a >= 1.
+
+    The reduced index holds the n-1 other coordinates of each axis, axis 0
+    most significant; the pins are spliced in as the top bit of each axis.
+    ``idx`` may be an int or an int64 array.
+    """
+    word = idx | 1 << axes * n >> 1  # x0[0] = +1 (no bit when axes = 0)
+    for j in range(1, axes):  # bit group i (from 0 at the bottom) moves up one place per j <= i, past i zero pins
+        word = word + ((idx & -1 << j * (n - 1)) << j - 1)
+    return word
+
+
+def _prefix_matrices(view: np.ndarray, m: int, n: int, start: int, count_bits: int, memo: list) -> np.ndarray:
     """The (n, n, P, B) contractions of an (n**m, B) board-minor stack by the 2**count_bits prefixes from ``start``.
 
     Axes left fixed by the varying last ``count_bits`` prefix bits contract
@@ -141,15 +167,15 @@ def _prefix_matrices(view: np.ndarray, m: int, n: int, pbits: int, start: int, c
     fixed axis a). Each later axis meets every partial result with its sign
     rows, and its sign index becomes the outermost prefix digit, so every
     pass runs over whole (prefix, board) rows; one transpose at the end puts
-    the digits in lexicographic order.
+    the digits in lexicographic order. A prefix index has n-1 bits per axis
+    0..m-3, as in ``_pinned_words``.
     """
-    word = start | 1 << pbits  # top bit: x0[0] = 1
-    fixed = _signs_at(word, pbits + 1)
+    fixed = _signs_at(_pinned_words(start, m - 2, n), n * (m - 2))
     cur, digits = view, []  # cur: (n**(m-a), digits of the varying axes before a, last outermost, B)
     for a in range(m - 2):
-        vary = min(n, max(0, count_bits - n * (m - 3 - a)))  # varying bits on axis a
+        vary = min(n - 1, max(0, count_bits - (n - 1) * (m - 3 - a)))  # varying bits on axis a
         if not vary:
-            key = word >> pbits + 1 - (a + 1) * n  # the signs of axes 0..a
+            key = start >> (n - 1) * (m - 3 - a)  # the signs of axes 0..a
             if memo[a][0] == key:
                 cur = memo[a][1]
                 continue
@@ -176,35 +202,36 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
     # the widths of the module docstring: -1 - bound fits a signed type iff +bound does
     part = np.min_scalar_type(-1 - n ** (m - 1))
     total = np.promote_types(np.min_scalar_type(-1 - n ** m), np.int16)
-    kbits = n - 1 if m == 2 else n  # free bits of axis m-2; the rest are prefix bits
-    pbits, lbits = nbits - kbits, min(kbits // 2, _STACK_BITS)
+    kbits = n - 1  # free bits of axis m-2, after its pinned row 0; the (n-1)(m-2) others are prefix bits
+    pbits, lbits = kbits * (m - 2), min(kbits // 2, _STACK_BITS)
     hbits = kbits - lbits
     pblock, hblock = max(0, min(pbits, _STACK_BITS - kbits)), min(hbits, max(0, _STACK_BITS - lbits))
-    bblock = 1 << max(0, _STACK_BITS - nbits)
-    best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)
+    bblock = 1 << max(0, _STACK_BITS - kbits * (m - 1))
+    best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)  # index: sign words
     witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
         # (n**m, B), board-minor: every sum until the abs is a partial contraction within +-n**(m-1), in ``part``
         view = boards[b0:b0 + bblock].T.astype(part, order="C")
         width, memo = view.shape[1], [(-1, None)] * (m - 2)
         for p0 in range(0, 1 << pbits, 1 << pblock):
-            rows = _prefix_matrices(view, m, n, pbits, p0, pblock, memo)  # (n, n, P, B): axis m-2 first
+            rows = _prefix_matrices(view, m, n, p0, pblock, memo)  # (n, n, P, B): axis m-2 first
             zero = np.zeros_like(rows[0])
             lo = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits:]).swapaxes(0, 1))  # (n, 2**lbits, P, B)
             mid = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits - hblock:n - lbits]).swapaxes(0, 1))
             for h0 in range(0, 1 << hbits, 1 << hblock):
-                # the high bits this block fixes, after the pinned row 0 (top bit) at m = 2
-                head = _signs_at(h0 >> hblock | (m == 2) << (hbits - hblock), hbits - hblock + (m == 2))
+                # the high bits this block fixes, after the pinned row 0 (top bit): +1 at m = 2, else -1
+                head = _signs_at(h0 >> hblock | (m == 2) << (hbits - hblock), hbits - hblock + 1)
                 hi = mid + (head @ rows[:len(head)].reshape(len(head), zero.size)).reshape(zero.shape)[:, None]
                 sums = hi[:, :, None] + lo[:, None]  # (n, 2**hblock, 2**lbits, P, B); sum|c| <= n**m fits ``total``
                 values = np.abs(sums, out=sums).sum(axis=0, dtype=total).transpose(2, 0, 1, 3).reshape(-1, width)
                 k = values.argmax(axis=0)
                 if width > 1:  # boards that share a block have no other block
-                    best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=0), k
+                    best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=0), _pinned_words(k, m - 1, n)
                 elif values[k[0], 0] > best[b0]:  # strictly: earlier blocks keep ties
                     # k counts (prefix, high, low) from (p0, h0, 0): a block has one prefix or every high half
-                    best[b0], index[b0] = values[k[0], 0], k[0] + ((p0 << kbits) | (h0 << lbits))
-        partial = _signs_at(index[b0:b0 + bblock] | 1 << nbits, nbits + 1)  # top bit: x0[0] = 1
+                    best[b0] = values[k[0], 0]
+                    index[b0] = _pinned_words(int(k[0]) + ((p0 << kbits) | (h0 << lbits)), m - 1, n)
+        partial = _signs_at(index[b0:b0 + bblock], n * (m - 1))
         c, cols = view, partial.T.astype(np.int32, order="C")
         for a in range(m - 1):
             c = (c.reshape(n, -1, width) * cols[a * n:(a + 1) * n, None]).sum(axis=0, dtype=np.int32)
@@ -215,8 +242,10 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
 def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
     """Exact maximum of the switching form over all +/-1 assignments.
 
-    Runs the split kernel (see the module docstring) on a one-board stack;
-    refuses instances with n(m-1)-1 > EXACT_BUDGET_BITS unless
+    Runs the split kernel (see the module docstring) on a one-board stack,
+    which visits 2**((n-1)(m-1)) assignments: x0[0] = +1 and x_a[0] = -1 on
+    axes 1..m-2 are pinned, since the lexicographically first maximum has
+    them. Refuses instances with n(m-1)-1 > EXACT_BUDGET_BITS unless
     ``allow_large`` is set. Partial sums use the narrowest signed type that
     holds +n**(m-1), which bounds every |c_i|, and sum|c| the narrowest of
     at least int16 that holds +n**m (see the module docstring); boards with

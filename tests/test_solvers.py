@@ -131,12 +131,23 @@ def test_exact_max_witness_matches_lex_oracle(m, n):
         assert res.evaluations == 2 ** (n * (m - 1) - 1)
 
 
-@pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 8, 0), (4, 6, 7), (5, 4, 9)])
+def _kernel_index(rows, m, n):
+    """The kernel's enumeration indices of the (k, n(m-1)) sign rows with x_a[0] = -1 on axes 1..m-2; others dropped.
+
+    The kernel pins x0[0] = +1 and those entries, and reads the n-1 other
+    coordinates of each axis 0..m-2 as bits, most significant first.
+    """
+    signs = rows.reshape(len(rows), m - 1, n)
+    kept = signs[(signs[:, 1:, 0] == -1).all(axis=1), :, 1:].reshape(-1, (m - 1) * (n - 1))
+    return (kept > 0) @ (1 << np.arange(kept.shape[1], dtype=np.int64)[::-1])
+
+
+@pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 9, 11), (4, 6, 7)])
 def test_exact_max_witness_when_maxima_span_blocks(m, n, seed):
     board = random_tensor(DimSpec(m, n), generator(seed, m, n))
     values, rows = lex_values(board)
     maxima = np.flatnonzero(values == values.max())
-    assert len(set((maxima >> _STACK_BITS).tolist())) > 1  # ties in more than one block
+    assert len(set((_kernel_index(rows(maxima), m, n) >> _STACK_BITS).tolist())) > 1  # ties in more than one block
     partial = rows(maxima[0])[0].reshape(m - 1, n)
     last = majority_fix(board, list(partial))[0]
     res = exact_max(board)
@@ -145,17 +156,34 @@ def test_exact_max_witness_when_maxima_span_blocks(m, n, seed):
     assert res.evaluations == len(values)
 
 
-@pytest.mark.parametrize("m,n,seed", [(2, 16, 0), (2, 17, 0), (3, 8, 4)])
+@pytest.mark.parametrize("m,n,seed", [(2, 16, 0), (2, 17, 0), (3, 9, 0), (4, 6, 0)])
 def test_exact_max_first_maximum_past_the_first_block(m, n, seed):
     board = random_tensor(DimSpec(m, n), generator(seed, m, n))
     values, rows = lex_values(board)
     first = int(np.flatnonzero(values == values.max())[0])
-    assert first >= 1 << _STACK_BITS  # the first maximum lies in a later high-half or prefix block
+    # the first maximum lies in a later high-half (m = 2) or prefix block of the kernel
+    assert _kernel_index(rows(first), m, n)[0] >= 1 << _STACK_BITS
     partial = rows(first)[0].reshape(m - 1, n)
     expected = partial.tolist() + [majority_fix(board, list(partial))[0].tolist()]
     assert exact_max(board).witness.vectors.tolist() == expected
     batch_values, witnesses = exact_max_batch(m, n, board.entries[None])
     assert batch_values[0] == values.max() and witnesses[0].tolist() == expected
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+def test_lex_first_maximum_has_minus_one_first_on_middle_axes(m, n):
+    # the pin the kernel relies on, checked on the loop oracle alone
+    boards = _tie_heavy_boards(m, n) + [random_tensor(DimSpec(m, n), generator(44, m, n, i)) for i in range(4)]
+    for board in boards:
+        vectors = lex_first_exact(board)[1]
+        assert vectors[0][0] == 1 and [v[0] for v in vectors[1:m - 1]] == [-1] * (m - 2)
+
+
+def test_exact_max_batch_every_2x2x2_board_matches_lex_oracle():
+    boards = sign_rows(8)
+    values, witnesses = exact_max_batch(3, 2, boards)
+    for row, value, witness in zip(boards, values, witnesses):
+        assert (value, witness.tolist()) == lex_first_exact(make_tensor(DimSpec(3, 2), row))
 
 
 def _planted_boards(m, n):
@@ -227,9 +255,9 @@ def test_exact_max_batch_matches_exact_max_on_random_stacks(m, n):
     _assert_batch_matches_exact_max(m, n, boards)
 
 
-@pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 8, 0), (4, 6, 7), (5, 4, 9)])
+@pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 8, 0), (4, 6, 7), (5, 4, 9), (3, 9, 11)])
 def test_exact_max_batch_when_maxima_span_blocks(m, n, seed):
-    # the first board is the one of test_exact_max_witness_when_maxima_span_blocks
+    # the first board is the one of test_exact_max_witness_when_maxima_span_blocks at the sizes that test has
     boards = [random_tensor(DimSpec(m, n), generator(seed, m, n, *extra)) for extra in ((), (1,), (2,))]
     _assert_batch_matches_exact_max(m, n, np.stack([board.entries for board in boards]))
 
