@@ -26,7 +26,7 @@ from typing import Optional
 from . import bounds, experiments, lp, solvers
 from . import tensor as tz
 from .errors import BudgetExceeded, DimMismatch, InvalidExponent
-from .rng import mix, sign_draws
+from .rng import generator, mix, sign_draws
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -168,7 +168,8 @@ def _add_solver_options(sp: argparse.ArgumentParser, default_method: str) -> Non
     sp.add_argument("--sweeps-max", type=int, default=argparse.SUPPRESS)
     sp.add_argument("--max-flips", type=int, default=argparse.SUPPRESS)
     sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--force", action="store_true", default=argparse.SUPPRESS, help="exact: run past 2**30 assignments")
+    sp.add_argument("--force", action="store_true", default=argparse.SUPPRESS,
+                    help=f"exact: run past 2**{solvers.EXACT_BUDGET_BITS} assignments")
 
 
 @functools.cache  # parsing never changes the parser, so one per process serves every run
@@ -239,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _random_board(dims: tz.DimSpec, seed: int) -> tz.SignTensor:
-    """The board ``tz.random_tensor(dims, np.random.Generator(np.random.PCG64(seed)))`` draws."""
-    return tz.make_tensor(dims, sign_draws([seed], 1, dims.size)[0, 0])
-
-
 def _require_seed(args) -> int:
     if args.seed is None:
         raise ValueError(f"--seed is required for randomized subcommand {args.command!r}")
@@ -303,7 +299,7 @@ def _cmd_scan(args) -> list[ExperimentRecord]:
     seed, options = _require_seed(args), _method_options(args, "seed")  # boards are drawn from --seed
     records = []
     for n in args.n:
-        rec = _solve_one(_random_board(tz.DimSpec(args.m, n), mix(seed, n)), args, seed, options)
+        rec = _solve_one(tz.random_tensor(tz.DimSpec(args.m, n), generator(seed, n)), args, seed, options)
         rec.witness = None
         records.append(rec)
     return records
@@ -448,7 +444,7 @@ def _cmd_region(args) -> list[ExperimentRecord]:
 def _cmd_gen(args) -> list[ExperimentRecord]:
     seed = _require_seed(args)
     t0 = time.perf_counter()
-    T = _random_board(tz.DimSpec(args.m, args.n), mix(seed))
+    T = tz.random_tensor(tz.DimSpec(args.m, args.n), generator(seed))
     tz.write_tensor(args.out, T)
     return [ExperimentRecord(m=args.m, n=args.n, seed=seed, method="gen", runtime_ms=_runtime_ms(t0))]
 

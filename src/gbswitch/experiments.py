@@ -25,7 +25,7 @@ from .bounds import INF, as_exponent, ksz_exponent
 from .errors import DegenerateInput
 from .lp import _exponent_float, alternating_max
 from .rng import mix, sign_draws
-from .solvers import EXACT_BUDGET_BITS, exact_max_batch
+from .solvers import exact_max_batch, exact_refusal
 from .tensor import DimSpec, make_tensor
 
 #: The boards of one block of samples hold at most this many entries.
@@ -70,8 +70,8 @@ class SharpnessResult:
 
 
 def norm_is_exact(dims: DimSpec, p) -> bool:
-    """Whether sample_min_norm's norm on dims at p is exact: p = inf and n(m-1)-1 within the enumeration budget."""
-    return p == INF and dims.n * (dims.m - 1) - 1 <= EXACT_BUDGET_BITS
+    """Whether sample_min_norm's norm on dims at p is exact: p = inf and the exact kernel runs (m, n) boards."""
+    return p == INF and exact_refusal(dims.m, dims.n) is None
 
 
 def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int = 8) -> NormSample:

@@ -5,10 +5,11 @@ is a pure function of its root seed and task indices: results never depend
 on worker count or scheduling order.
 
 A seed's stream is numpy's ``np.random.Generator(np.random.PCG64(seed))``;
-``generator`` and ``sign_vector`` draw it one seed at a time and are the
-reference. ``sign_draws`` computes the same bytes for a stack of seeds in
-integer arithmetic fixed by numpy's sources, and draws nothing from numpy:
-the ``SeedSequence`` pool hash and ``generate_state(4, uint64)`` in uint32,
+``generator`` and ``sign_vector`` draw it one seed at a time, as the
+reference and as the single-seed board path (``random_tensor``).
+``sign_draws``, for stacks of seeds, computes the same bytes in integer
+arithmetic fixed by numpy's sources and draws nothing from numpy: the
+``SeedSequence`` pool hash and ``generate_state(4, uint64)`` in uint32,
 one vectorised round per pool word over a (4, B) array with the hash
 constants precomputed, then every output at once by the LCG's closed-form
 jump (O'Neill 2014) and PCG64's XSL-RR output, in uint64 from 32-bit limbs.
@@ -37,7 +38,7 @@ _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-#: Most entries one ``sign_draws`` stack may hold: 2**27 int8 entries take
+#: Most entries one draw may hold (``check_draw``): 2**27 int8 entries take
 #: 1 GiB once a solver casts them to int64 or float64.
 MAX_DRAW_ENTRIES = 1 << 27
 #: ``sign_draws`` computes at most this many 64-bit outputs (seeds x steps) per pass.
@@ -72,6 +73,14 @@ def generator(*parts: int) -> np.random.Generator:
 def sign_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform vector in {-1, +1}^n, dtype int8."""
     return rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+
+
+def check_draw(seeds: int, count: int, n: int) -> None:
+    """Raise BudgetExceeded if a draw of ``seeds`` x ``count`` x ``n`` signs holds more than MAX_DRAW_ENTRIES."""
+    entries = seeds * count * n
+    if entries > MAX_DRAW_ENTRIES:
+        raise BudgetExceeded(f"a draw of {seeds} x {count} x {n} = {entries} signs exceeds "
+                             f"the 2**{MAX_DRAW_ENTRIES.bit_length() - 1} entry limit")
 
 
 def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
@@ -147,13 +156,9 @@ def sign_draws(seeds, count: int, n: int) -> np.ndarray:
     call on ``rng = np.random.Generator(np.random.PCG64(seeds[b]))``, so
     ``sign_draws([mix(*parts)], count, n)[0]`` is ``count`` calls on
     ``generator(*parts)``. ``seeds`` is a sequence of B integers in
-    [0, 2**64). A stack of more than MAX_DRAW_ENTRIES entries raises
-    BudgetExceeded before any array is allocated.
+    [0, 2**64). ``check_draw`` runs before any array is allocated.
     """
-    entries = len(seeds) * count * n
-    if entries > MAX_DRAW_ENTRIES:
-        raise BudgetExceeded(f"a draw of {len(seeds)} x {count} x {n} = {entries} signs exceeds "
-                             f"the 2**{MAX_DRAW_ENTRIES.bit_length() - 1} entry limit")
+    check_draw(len(seeds), count, n)
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     # integers(0, 2, size=n, dtype=int8) takes ceil(n/4) fresh 32-bit words per call, the low then
     # the high half of each 64-bit output (a spare high half goes to the next call); sign i is

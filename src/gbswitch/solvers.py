@@ -68,6 +68,21 @@ from .tensor import (
 EXACT_BUDGET_BITS = 30
 
 
+def _certified_bits(m: int, n: int) -> int:
+    """n(m-1)-1: an exact value is certified over the 2**this assignments with x0[0] = +1 (at m = 1, -1: one)."""
+    return n * (m - 1) - 1
+
+
+def exact_refusal(m: int, n: int, allow_large: bool = False) -> str | None:
+    """Why the exact kernel refuses (m, n) boards, or None if it runs them; reads EXACT_BUDGET_BITS at each call."""
+    bits = _certified_bits(m, n)
+    if bits > EXACT_BUDGET_BITS and not allow_large:
+        return f"2**{bits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget of exact enumeration"
+    if m > 1 and n ** m >= 2 ** 31:  # such a board has >= 2**56 assignments (m = 20, n = 3): no int64 run could end
+        return f"n**m = {n}**{m} is 2**31 or more, beyond the exact kernel's int32 sums"
+    return None
+
+
 class Method(enum.Enum):
     EXACT = "exact"
     LOCAL_SEARCH = "local-search"
@@ -78,9 +93,8 @@ class Method(enum.Enum):
 class SolveResult:
     """Achieved value with its witness; the witness re-evaluates to the value.
 
-    ``evaluations`` counts the assignments the value is certified over: for
-    ``Method.EXACT``, all 2**(n(m-1)-1) with x0[0] = +1, of which the kernel
-    visits 2**((n-1)(m-1)) (see the module docstring).
+    ``evaluations`` counts the assignments the value is certified over; for
+    ``Method.EXACT``, 2**_certified_bits(m, n) (see the module docstring).
     """
 
     value: int
@@ -109,8 +123,13 @@ def sign_rows(nbits: int) -> np.ndarray:
     return _signs_at(np.arange(1 << nbits, dtype=np.int64), nbits)
 
 
+def _free_entries(m: int, n: int) -> int:
+    """F = n**m - m(n-1) - 1: the entries of an (m, n) board off the m axis lines through the origin."""
+    return DimSpec(m, n).size - m * (n - 1) - 1
+
+
 def normal_form_boards(m: int, n: int) -> np.ndarray:
-    """The int8 (2**F, n**m) stack of switching normal forms, F = n**m - m(n-1) - 1.
+    """The int8 (2**F, n**m) stack of switching normal forms, F = ``_free_entries(m, n)``.
 
     A normal form is +1 on the m axis lines through the origin (entries with
     at most one nonzero index); its F free entries take the rows of
@@ -118,16 +137,18 @@ def normal_form_boards(m: int, n: int) -> np.ndarray:
     x^(a) is constant with product +1, so each class has 2**(m(n-1)+1)
     boards and holds exactly one normal form, which has the class's value.
     """
-    return _normal_forms(m, n, 0, 1 << DimSpec(m, n).size - m * (n - 1) - 1)
+    return next(_normal_forms(m, n, 1 << _free_entries(m, n)))
 
 
-def _normal_forms(m: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of ``normal_form_boards(m, n)``: the free entries of form k are ``_signs_at(k, F)``."""
-    free = (np.indices((n,) * m).reshape(m, -1) != 0).sum(axis=0) > 1
-    rows = _signs_at(np.arange(start, stop, dtype=np.int64), int(free.sum()))
-    boards = np.ones((len(rows), n ** m), dtype=np.int8)
-    boards[:, free] = rows
-    return boards
+def _normal_forms(m: int, n: int, block: int):
+    """``normal_form_boards(m, n)`` in blocks of ``block`` rows: the free entries of form k are ``_signs_at(k, F)``."""
+    bits = _free_entries(m, n)
+    free = (np.indices((n,) * m).reshape(m, -1) != 0).sum(axis=0) > 1  # the F entries, once for every block
+    for k0 in range(0, 1 << bits, block):
+        rows = _signs_at(np.arange(k0, min(k0 + block, 1 << bits), dtype=np.int64), bits)
+        boards = np.ones((len(rows), n ** m), dtype=np.int8)
+        boards[:, free] = rows
+        yield boards
 
 
 def _signs_at(idx, nbits: int) -> np.ndarray:
@@ -190,23 +211,25 @@ def _prefix_matrices(view: np.ndarray, m: int, n: int, start: int, count_bits: i
     return cur.reshape(n, n, *digits[::-1], view.shape[1]).transpose(order).reshape(n, n, -1, view.shape[1])
 
 
+def _board_block(m: int, n: int) -> int:
+    """Boards per kernel block: 2**_STACK_BITS / 2**((n-1)(m-1)) visited assignments each, at least one."""
+    return 1 << max(0, _STACK_BITS - (n - 1) * (m - 1))
+
+
 def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Values (B,) int64 and first-maximum witnesses (B, m, n) int8 of a (B, n**m) stack, in board-minor blocks."""
-    nbits = n * (m - 1) - 1
-    if nbits > EXACT_BUDGET_BITS and not allow_large:
-        raise BudgetExceeded(f"2**{nbits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget of exact enumeration")
+    if reason := exact_refusal(m, n, allow_large):
+        raise BudgetExceeded(reason)
     if m == 1:
         return np.full(len(boards), n, dtype=np.int64), _sign_of(boards).reshape(-1, 1, n)
-    if n ** m >= 2 ** 31:  # such a board has >= 2**56 assignments (m = 20, n = 3): no int64 run could end
-        raise BudgetExceeded(f"n**m = {n}**{m} is 2**31 or more, beyond the exact kernel's int32 sums")
     # the widths of the module docstring: -1 - bound fits a signed type iff +bound does
     part = np.min_scalar_type(-1 - n ** (m - 1))
     total = np.promote_types(np.min_scalar_type(-1 - n ** m), np.int16)
     kbits = n - 1  # free bits of axis m-2, after its pinned row 0; the (n-1)(m-2) others are prefix bits
     pbits, lbits = kbits * (m - 2), min(kbits // 2, _STACK_BITS)
     hbits = kbits - lbits
-    pblock, hblock = max(0, min(pbits, _STACK_BITS - kbits)), min(hbits, max(0, _STACK_BITS - lbits))
-    bblock = 1 << max(0, _STACK_BITS - kbits * (m - 1))
+    pblock, hblock = max(0, min(pbits, _STACK_BITS - kbits)), min(hbits, _STACK_BITS - lbits)
+    bblock = _board_block(m, n)
     best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)  # index: sign words
     witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
@@ -242,18 +265,13 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
 def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
     """Exact maximum of the switching form over all +/-1 assignments.
 
-    Runs the split kernel (see the module docstring) on a one-board stack,
-    which visits 2**((n-1)(m-1)) assignments: x0[0] = +1 and x_a[0] = -1 on
-    axes 1..m-2 are pinned, since the lexicographically first maximum has
-    them. Refuses instances with n(m-1)-1 > EXACT_BUDGET_BITS unless
-    ``allow_large`` is set. Partial sums use the narrowest signed type that
-    holds +n**(m-1), which bounds every |c_i|, and sum|c| the narrowest of
-    at least int16 that holds +n**m (see the module docstring); boards with
-    n**m >= 2**31 are refused.
+    Runs the split kernel on a one-board stack (the module docstring gives
+    the assignments it visits and its integer widths). Raises BudgetExceeded
+    where ``exact_refusal(m, n, allow_large)`` gives a reason.
     """
     m, n = tensor.dims.m, tensor.dims.n
     values, witnesses = _exact_kernel(m, n, tensor.entries[None], allow_large)
-    return _checked_result(tensor, int(values[0]), witnesses[0], Method.EXACT, 1 << max(0, n * (m - 1) - 1))
+    return _checked_result(tensor, int(values[0]), witnesses[0], Method.EXACT, 1 << max(0, _certified_bits(m, n)))
 
 
 def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +279,8 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
 
     Row i matches ``exact_max`` on the board with flat entries ``entries[i]``,
     witness bytes included. Input errors are raised before any kernel array
-    exists; every witness is re-evaluated in int64 (AssertionError if not).
+    exists; every witness is re-evaluated in int64, in the kernel's board
+    blocks (AssertionError if not).
     """
     boards = np.asarray(entries)
     if boards.ndim != 2 or boards.shape[1] != DimSpec(m, n).size:
@@ -270,13 +289,13 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("exact_max_batch needs at least one board")
     _validate_signs(boards)
     values, witnesses = _exact_kernel(m, n, boards)
-    step = 1 << max(0, _STACK_BITS + 1 - n * (m - 1))
-    for b0 in range(0, len(boards), step):
-        cur = boards[b0:b0 + step].T.astype(np.int64, order="C")  # (n**m, B), as in the kernel
-        cols = witnesses[b0:b0 + step].transpose(1, 2, 0).astype(np.int64, order="C")
+    bblock = _board_block(m, n)
+    for b0 in range(0, len(boards), bblock):
+        cur = boards[b0:b0 + bblock].T.astype(np.int64, order="C")  # (n**m, B), as in the kernel
+        cols = witnesses[b0:b0 + bblock].transpose(1, 2, 0).astype(np.int64, order="C")
         for a in range(m):
             cur = (cur.reshape(n, -1, cur.shape[-1]) * cols[a, :, None]).sum(axis=0)
-        if (cur.reshape(-1) != values[b0:b0 + step]).any() or (np.abs(witnesses[b0:b0 + step]) != 1).any():
+        if (cur.reshape(-1) != values[b0:b0 + bblock]).any() or (np.abs(witnesses[b0:b0 + bblock]) != 1).any():
             raise AssertionError(f"witness re-evaluation mismatch in boards {b0}..{b0 + cur.size - 1}")
     return values, witnesses
 
@@ -286,13 +305,11 @@ def value_census(m: int, n: int) -> dict[int, int]:
 
     Normal forms are scored in blocks of 2**_STACK_BITS, each count weighted by the class size 2**(m(n-1)+1).
     """
-    free = DimSpec(m, n).size - m * (n - 1) - 1
-    bits = free + n * (m - 1) - 1  # 2**free forms of 2**(n(m-1)-1) assignments: one solve's budget for all
+    bits = _free_entries(m, n) + _certified_bits(m, n)  # 2**F forms of one solve each: one solve's budget for all
     if bits > EXACT_BUDGET_BITS:
         raise BudgetExceeded(f"value_census({m}, {n}): 2**{bits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget")
     hist = np.zeros(n ** m + 1, dtype=np.int64)  # every value lies in 0..n**m
-    for k0 in range(0, 1 << free, 1 << _STACK_BITS):
-        boards = _normal_forms(m, n, k0, min(k0 + (1 << _STACK_BITS), 1 << free))
+    for boards in _normal_forms(m, n, 1 << _STACK_BITS):
         hist += np.bincount(exact_max_batch(m, n, boards)[0], minlength=len(hist))
     return {v: c << m * (n - 1) + 1 for v, c in enumerate(hist.tolist()) if c}
 

@@ -30,7 +30,7 @@ from .errors import (
     NonUnimodularEntry,
     SizeOverflow,
 )
-from .rng import MAX_DRAW_ENTRIES, sign_vector
+from .rng import MAX_DRAW_ENTRIES, check_draw, sign_vector
 
 MAX_ENTRIES = 1 << 40
 
@@ -123,7 +123,8 @@ def make_tensor(dims: DimSpec, entries) -> SignTensor:
 
 
 def random_tensor(dims: DimSpec, rng: np.random.Generator) -> SignTensor:
-    """Uniform i.i.d. +/-1 tensor (the random-signs model of the norm experiments)."""
+    """Uniform i.i.d. +/-1 tensor (the random-signs model of the norm experiments), refused past the draw limit."""
+    check_draw(1, 1, dims.size)
     return SignTensor(dims, _frozen_i8(sign_vector(rng, dims.size)))
 
 

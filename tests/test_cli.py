@@ -491,11 +491,10 @@ def test_stacked_ascent_output_matches_per_start_loop(tmp_path, monkeypatch):
 
 
 def test_draw_size_guard_before_any_array(tmp_path, monkeypatch, capsys):
-    class Unreachable:
-        def __getattr__(self, name):
-            raise AssertionError(f"sign_draws reached np.{name}")
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a board was drawn")
 
-    monkeypatch.setattr(rng, "np", Unreachable())
+    monkeypatch.setattr(cli.tz, "sign_vector", unreachable)  # gen and scan draw through tz.random_tensor
     big = tmp_path / "big.json"
     for argv in (["gen", "--m", "2", "--n", "100000", "--seed", "1", "--out", str(big)],
                  ["scan", "--m", "2", "--n", "100000", "--method", "greedy", "--seed", "1"]):
@@ -717,7 +716,7 @@ def test_option_of_another_method_exits_2_before_any_board(method, option, cf_fi
     def unreachable(*args, **kwargs):
         raise AssertionError("a board was read or drawn")
 
-    monkeypatch.setattr(cli, "_random_board", unreachable)
+    monkeypatch.setattr(cli.tz, "random_tensor", unreachable)
     monkeypatch.setattr(cli.tz, "read_tensor", unreachable)
     seeded = [] if method == "exact" else ["--seed", "1"]  # solve reads a seed only for the methods that draw
     for command in (["scan", "--m", "2", "--n", "3", "--seed", "1"], ["solve", "--input", cf_file, *seeded]):

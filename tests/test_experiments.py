@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gbswitch import (
+    BudgetExceeded,
     DegenerateInput,
     DimSpec,
     alternating_max,
@@ -17,7 +18,9 @@ from gbswitch import (
     random_tensor,
     sample_min_norm,
     sharpness_experiment,
+    solvers,
 )
+from gbswitch.cli import run
 
 
 def test_sample_min_norm_small_board_reaches_two():
@@ -190,3 +193,30 @@ def test_norm_sample_rejects_nonpositive_min_norm():
 def test_sharpness_experiment_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be >= 0"):
         sharpness_experiment(2, math.inf, [2, 3], 5, 0, tol=tol)
+
+
+class _KernelReached(Exception):
+    pass
+
+
+class _Tripwire:
+    """A board stack whose first use shows the kernel got past its refusal, before it builds any array."""
+
+    def __len__(self):
+        raise _KernelReached
+
+
+def test_exactness_follows_the_kernel_budget(monkeypatch, capsys):
+    monkeypatch.setattr(solvers, "EXACT_BUDGET_BITS", 4)  # a 6 x 6 board has 2**5 certified assignments
+    assert not sample_min_norm(2, 6, math.inf, 3, 1, starts=2).exact
+    assert run(["ksz", "--m", "2", "--n", "3:7", "--samples", "3", "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    for m in range(1, 7):
+        for n in range(1, 8):
+            try:
+                solvers._exact_kernel(m, n, _Tripwire())
+            except BudgetExceeded:
+                runs = False
+            except _KernelReached:
+                runs = True
+            assert experiments.norm_is_exact(DimSpec(m, n), math.inf) == runs, (m, n)

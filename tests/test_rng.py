@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import sign_draws_loop
-from gbswitch import BudgetExceeded, DimSpec, generator, mix, random_tensor, rng, sign_draws
+from gbswitch import BudgetExceeded, DimSpec, generator, mix, random_tensor, rng, sign_draws, tensor
 from gbswitch.rng import sign_vector
 
 #: Both ends of each 32-bit word; 0, 1, 5, 2**31 and 2**32-1 have a zero high word.
@@ -132,3 +132,16 @@ def test_sign_draws_entry_limit(monkeypatch):
     monkeypatch.setattr(rng, "np", _Unreachable())
     with pytest.raises(BudgetExceeded, match=r"2 x 3 x 5 = 30 signs exceeds"):
         sign_draws([1, 2], 3, 5)
+
+
+def test_random_tensor_checks_the_draw_limit_before_drawing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a board was drawn")
+
+    with pytest.raises(BudgetExceeded) as stacked:
+        sign_draws([mix(1)], 1, 2 ** 28)
+    monkeypatch.setattr(tensor, "sign_vector", unreachable)
+    with pytest.raises(BudgetExceeded) as single:
+        random_tensor(DimSpec(2, 2 ** 14), generator(1))
+    assert str(single.value) == str(stacked.value) == (
+        "a draw of 1 x 1 x 268435456 = 268435456 signs exceeds the 2**27 entry limit")

@@ -210,9 +210,10 @@ def test_planted_witness_is_the_lex_first_maximum(m, n):
         assert lex_first_exact(board) == (n ** m, witness.tolist())
 
 
-# n**(m-1) bounds the kernel's partial sums and n**m its totals: 64 and 128 meet int8's +127, and (4, 5) to
-# (5, 4) take int8 or int16 on either side of it.
-@pytest.mark.parametrize("m,n", [(7, 2), (8, 2), (4, 5), (4, 6), (5, 3), (5, 4)])
+# n**(m-1) bounds the kernel's partial sums and n**m its totals: 64 and 128 meet int8's +127, (4, 5) to
+# (5, 4) take int8 or int16 on either side of it, n**m = 16384, 32768 and 65536 meet int16's +32767, and
+# n**(m-1) does at (16, 2).
+@pytest.mark.parametrize("m,n", [(7, 2), (8, 2), (4, 5), (4, 6), (5, 3), (5, 4), (14, 2), (15, 2), (16, 2)])
 def test_exact_kernel_widths_hold_the_extreme_values(m, n):
     boards = _planted_boards(m, n)
     for board, witness in boards:
@@ -221,16 +222,6 @@ def test_exact_kernel_widths_hold_the_extreme_values(m, n):
     values, witnesses = exact_max_batch(m, n, np.array([board.entries for board, _ in boards]))
     assert values.tolist() == [n ** m] * 3
     assert witnesses.tolist() == [witness.tolist() for _, witness in boards]
-
-
-# n**m = 16384, 32768 and 65536 meet int16's +32767, and n**(m-1) does at (16, 2). These boards have 2**27 to
-# 2**29 assignments (up to ~15 s on 2 cores), so each size solves one board: the planted one. Its one-board
-# stack runs the kernel exactly as exact_max does, and the batch path adds the int64 re-check.
-@pytest.mark.parametrize("m,n", [(14, 2), (15, 2), (16, 2)])
-def test_exact_kernel_widths_hold_n_m_past_int16(m, n):
-    board, witness = _planted_boards(m, n)[2]
-    values, witnesses = exact_max_batch(m, n, board.entries[None])
-    assert values.tolist() == [n ** m] and witnesses[0].tolist() == witness.tolist()
 
 
 def _assert_batch_matches_exact_max(m, n, boards):
