@@ -135,10 +135,18 @@ def parse_exponent(text: str):
         raise argparse.ArgumentTypeError(f"invalid exponent {text!r}") from exc
 
 
+#: The most n values one --n option takes.
+MAX_N_VALUES = 1 << 16
+
+
 def parse_n_values(text: str) -> list[int]:
-    """'2:6' (inclusive range), '2,3,5', or a single integer; a nonempty list of n >= 1."""
+    """'2:6' (inclusive range), '2,3,5', or a single integer; a nonempty list of n >= 1, at most MAX_N_VALUES long."""
     lo, colon, hi = text.partition(":")
     try:
+        count = int(hi) - int(lo) + 1 if colon else text.count(",") + 1  # counted before any list is built
+        if count > MAX_N_VALUES:
+            raise argparse.ArgumentTypeError(f"n specification {text!r} has {count} values; "
+                                             f"the limit is {MAX_N_VALUES}")
         values = list(range(int(lo), int(hi) + 1)) if colon else [int(x) for x in lo.split(",")]
     except ValueError:
         values = []

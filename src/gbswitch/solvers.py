@@ -16,15 +16,20 @@ the order of the rest: the enumeration index holds n-1 bits per axis, and
 The kernel meets in the middle (Horowitz and Sahni): each prefix (signs of
 axes 0..m-3) contracts the board to an n x n matrix M, and the free
 coordinates of axis m-2 split into halves whose partial sums H = S_hi @ M_hi
-and L = S_lo @ M_lo are tabulated once by doubling trees, so c = H[hi] + L[lo]
-costs about n operations per assignment. A block (boards x prefixes x high
-halves x every low half, within max(2**_STACK_BITS * n, n**(m-1)) elements)
-is laid out (n, high, low, prefix, board): the last axis outermost, so sum|c|
-adds whole rows, and prefixes next to boards, so every pass runs over long
-rows. Its values are read in index order (prefix, high, low), most
-significant bit first, which is lexicographic witness order (-1 before +1);
-a board moves to a later block's first argmax only if strictly greater, so
-ties keep the smallest.
+(with the pinned row 0) and L = S_lo @ M_lo are tabulated once per prefix
+block by doubling trees, so c = H[hi] + L[lo] costs about n operations per
+assignment. Blocks are sized in bytes: a block (boards x prefixes x high
+halves x every low half) holds the largest power of two of boards x
+assignments whose c, n integers each, fits BLOCK_BYTES (``_block_bits``).
+Its blocks slice the one H table of their prefix block; only past the
+default exact budget (from n = 32 at m = 2, n = 30 at m = 3) would H outgrow
+BLOCK_BYTES, and it is then built in pieces, each from its own head of high
+bits. A block is laid out (n, high, low, prefix, board): the last axis
+outermost, so sum|c| adds whole rows, and prefixes next to boards, so every
+pass runs over long rows. Its values are read in index order (prefix, high,
+low), most significant bit first, which is lexicographic witness order (-1
+before +1); a board moves to a later block's first argmax only if strictly
+greater, so ties keep the smallest.
 
 Integer widths come from the board's own bound, not from a fixed type.
 Before the abs, every operation is an integer add or matmul whose true
@@ -33,8 +38,10 @@ one) has magnitude at most n**(m-1), so the board view, the prefix
 matrices, the sign-sum tables and c live in the narrowest signed type that
 holds +n**(m-1): int8 up to 127, int16 up to 32767, else int32
 (``min_scalar_type(-n**(m-1))`` would be off by one: -128 fits int8, +128
-does not). After it, sum|c| <= n**m is summed in the narrowest such type of
-at least int16. The witness decode sums in int32 and
+does not). After it, |c| is summed in groups of g = max // n**(m-1) rows in
+the unsigned type of the same width, so that a group's sum fits, and the
+group sums in the narrowest unsigned type that holds n**m (``_abs_sum``).
+The witness decode sums in int32 and
 ``exact_max_batch`` re-checks every witness in int64, so neither check
 shares the narrowed arithmetic.
 
@@ -59,13 +66,16 @@ from .tensor import (
     evaluate,
     make_assignment,
     partial_contraction,
-    _STACK_BITS,
     _stack_rows,
     _validate_signs,
 )
 
 #: Refuse exact enumeration beyond 2**30 assignments unless overridden.
 EXACT_BUDGET_BITS = 30
+
+#: Bytes of one exact-kernel block's partial sums c, and of the re-check's and the census's blocks of boards:
+#: half of a 2 MiB per-core L2, the best budget of scripts/kernel_sweep.py.
+BLOCK_BYTES = 1 << 20
 
 
 def _certified_bits(m: int, n: int) -> int:
@@ -211,9 +221,22 @@ def _prefix_matrices(view: np.ndarray, m: int, n: int, start: int, count_bits: i
     return cur.reshape(n, n, *digits[::-1], view.shape[1]).transpose(order).reshape(n, n, -1, view.shape[1])
 
 
-def _board_block(m: int, n: int) -> int:
-    """Boards per kernel block: 2**_STACK_BITS / 2**((n-1)(m-1)) visited assignments each, at least one."""
-    return 1 << max(0, _STACK_BITS - (n - 1) * (m - 1))
+def _block_bits(row_bytes: int) -> int:
+    """The largest b >= 0 with 2**b rows of ``row_bytes`` bytes within BLOCK_BYTES (0 if one row is larger)."""
+    return max(0, (BLOCK_BYTES // row_bytes).bit_length() - 1)
+
+
+def _abs_sum(c: np.ndarray, group: int, total: np.dtype) -> np.ndarray:
+    """sum|c| over axis 0 of a signed c, which becomes |c|: ``group`` rows at a time in the unsigned type of c's width.
+
+    The group sums add in ``total``. Exact when a group's sum fits the first type and the whole sum fits ``total``;
+    narrow adds within a group skip most of the widening casts.
+    """
+    u = np.abs(c, out=c).view(f"u{c.itemsize}")
+    values = u[:group].sum(axis=0, dtype=u.dtype).astype(total, copy=False)
+    for i in range(group, len(u), group):
+        values += u[i:i + group].sum(axis=0, dtype=u.dtype)
+    return values
 
 
 def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -224,36 +247,41 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
         return np.full(len(boards), n, dtype=np.int64), _sign_of(boards).reshape(-1, 1, n)
     # the widths of the module docstring: -1 - bound fits a signed type iff +bound does
     part = np.min_scalar_type(-1 - n ** (m - 1))
-    total = np.promote_types(np.min_scalar_type(-1 - n ** m), np.int16)
+    wide = np.dtype(f"u{part.itemsize}")  # |c| <= n**(m-1), so g = max // n**(m-1) rows of it sum within ``wide``
+    group, total = np.iinfo(wide).max // n ** (m - 1), np.promote_types(wide, np.min_scalar_type(n ** m))
+    bits = _block_bits(n * part.itemsize)  # a block's c: 2**bits (boards x assignments) of n ``part`` integers
     kbits = n - 1  # free bits of axis m-2, after its pinned row 0; the (n-1)(m-2) others are prefix bits
-    pbits, lbits = kbits * (m - 2), min(kbits // 2, _STACK_BITS)
+    pbits, lbits = kbits * (m - 2), min(kbits // 2, bits)
     hbits = kbits - lbits
-    pblock, hblock = max(0, min(pbits, _STACK_BITS - kbits)), min(hbits, _STACK_BITS - lbits)
-    bblock = _board_block(m, n)
+    tbits = min(hbits, bits)  # rows of the high table: all 2**hbits unless they outgrow the budget
+    pblock, hblock = max(0, min(pbits, bits - kbits)), min(hbits, bits - lbits)
+    bblock = 1 << max(0, bits - kbits - pbits)
     best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)  # index: sign words
     witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
         # (n**m, B), board-minor: every sum until the abs is a partial contraction within +-n**(m-1), in ``part``
         view = boards[b0:b0 + bblock].T.astype(part, order="C")
         width, memo = view.shape[1], [(-1, None)] * (m - 2)
+        sums = np.empty((n, 1 << hblock, 1 << lbits, 1 << pblock, width), dtype=part)  # c, reused by every block
         for p0 in range(0, 1 << pbits, 1 << pblock):
             rows = _prefix_matrices(view, m, n, p0, pblock, memo)  # (n, n, P, B): axis m-2 first
-            zero = np.zeros_like(rows[0])
-            lo = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits:]).swapaxes(0, 1))  # (n, 2**lbits, P, B)
-            mid = np.ascontiguousarray(_sign_sums(zero, rows[n - lbits - hblock:n - lbits]).swapaxes(0, 1))
-            for h0 in range(0, 1 << hbits, 1 << hblock):
-                # the high bits this block fixes, after the pinned row 0 (top bit): +1 at m = 2, else -1
-                head = _signs_at(h0 >> hblock | (m == 2) << (hbits - hblock), hbits - hblock + 1)
-                hi = mid + (head @ rows[:len(head)].reshape(len(head), zero.size)).reshape(zero.shape)[:, None]
-                sums = hi[:, :, None] + lo[:, None]  # (n, 2**hblock, 2**lbits, P, B); sum|c| <= n**m fits ``total``
-                values = np.abs(sums, out=sums).sum(axis=0, dtype=total).transpose(2, 0, 1, 3).reshape(-1, width)
-                k = values.argmax(axis=0)
-                if width > 1:  # boards that share a block have no other block
-                    best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=0), _pinned_words(k, m - 1, n)
-                elif values[k[0], 0] > best[b0]:  # strictly: earlier blocks keep ties
-                    # k counts (prefix, high, low) from (p0, h0, 0): a block has one prefix or every high half
-                    best[b0] = values[k[0], 0]
-                    index[b0] = _pinned_words(int(k[0]) + ((p0 << kbits) | (h0 << lbits)), m - 1, n)
+            lo = np.ascontiguousarray(_sign_sums(np.zeros_like(rows[0]), rows[n - lbits:]).swapaxes(0, 1))
+            for t0 in range(0, 1 << hbits, 1 << tbits):
+                # the pinned row 0 (+1 at m = 2, else -1) and the high bits above the table, then the table
+                head = _signs_at(t0 >> tbits | (m == 2) << (hbits - tbits), hbits - tbits + 1)
+                base = (head @ rows[:len(head)].reshape(len(head), -1)).reshape(rows.shape[1:])
+                hi = np.ascontiguousarray(_sign_sums(base, rows[len(head):n - lbits]).swapaxes(0, 1))
+                for h0 in range(0, 1 << tbits, 1 << hblock):
+                    np.add(hi[:, h0:h0 + (1 << hblock), None], lo[:, None], out=sums)
+                    values = _abs_sum(sums, group, total).transpose(2, 0, 1, 3).reshape(-1, width)
+                    k = values.argmax(axis=0)
+                    if width > 1:  # boards that share a block have no other block
+                        best[b0:b0 + bblock], index[b0:b0 + bblock] = values.max(axis=0), _pinned_words(k, m - 1, n)
+                    elif values[k[0], 0] > best[b0]:  # strictly: earlier blocks keep ties
+                        # k counts (prefix, high, low) from (p0, t0 + h0, 0): a block has one prefix or every high half
+                        best[b0] = values[k[0], 0]
+                        index[b0] = _pinned_words(int(k[0]) + ((p0 << kbits) | ((t0 + h0) << lbits)), m - 1, n)
+        del sums  # freed before the int32 decode, so that the two never coexist
         partial = _signs_at(index[b0:b0 + bblock], n * (m - 1))
         c, cols = view, partial.T.astype(np.int32, order="C")
         for a in range(m - 1):
@@ -279,8 +307,8 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
 
     Row i matches ``exact_max`` on the board with flat entries ``entries[i]``,
     witness bytes included. Input errors are raised before any kernel array
-    exists; every witness is re-evaluated in int64, in the kernel's board
-    blocks (AssertionError if not).
+    exists; every witness is re-evaluated in int64, in blocks of boards
+    whose (n**m, boards) int64 array fits BLOCK_BYTES (AssertionError if not).
     """
     boards = np.asarray(entries)
     if boards.ndim != 2 or boards.shape[1] != DimSpec(m, n).size:
@@ -289,7 +317,7 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("exact_max_batch needs at least one board")
     _validate_signs(boards)
     values, witnesses = _exact_kernel(m, n, boards)
-    bblock = _board_block(m, n)
+    bblock = 1 << _block_bits(8 * n ** m)
     for b0 in range(0, len(boards), bblock):
         cur = boards[b0:b0 + bblock].T.astype(np.int64, order="C")  # (n**m, B), as in the kernel
         cols = witnesses[b0:b0 + bblock].transpose(1, 2, 0).astype(np.int64, order="C")
@@ -303,13 +331,14 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
 def value_census(m: int, n: int) -> dict[int, int]:
     """The number of +/-1 boards with n**m entries at each exact value, in ascending value order.
 
-    Normal forms are scored in blocks of 2**_STACK_BITS, each count weighted by the class size 2**(m(n-1)+1).
+    Normal forms are scored in blocks of int8 rows within BLOCK_BYTES, each count weighted by the class size
+    2**(m(n-1)+1).
     """
     bits = _free_entries(m, n) + _certified_bits(m, n)  # 2**F forms of one solve each: one solve's budget for all
     if bits > EXACT_BUDGET_BITS:
         raise BudgetExceeded(f"value_census({m}, {n}): 2**{bits} assignments exceed the 2**{EXACT_BUDGET_BITS} budget")
     hist = np.zeros(n ** m + 1, dtype=np.int64)  # every value lies in 0..n**m
-    for boards in _normal_forms(m, n, 1 << _STACK_BITS):
+    for boards in _normal_forms(m, n, 1 << _block_bits(n ** m)):
         hist += np.bincount(exact_max_batch(m, n, boards)[0], minlength=len(hist))
     return {v: c << m * (n - 1) + 1 for v, c in enumerate(hist.tolist()) if c}
 

@@ -199,7 +199,8 @@ def _stack_rows(m: int, n: int) -> int:
     """Rows per block of an (S, m-1, n) contraction stack.
 
     Every temporary of ``_contract`` then stays within
-    max(2**_STACK_BITS * n, n**(m-1)) elements, the exact kernel's rule.
+    max(2**_STACK_BITS * n, n**(m-1)) elements (the float solvers' rule; the
+    exact kernel sizes its blocks in bytes, ``solvers.BLOCK_BYTES``).
     """
     return max(1, (n << _STACK_BITS) // n ** max(1, m - 1))
 

@@ -21,6 +21,7 @@ from gbswitch import (DimMismatch, DimSpec, conjecture_exponent, evaluate, km_co
 from gbswitch import cli, experiments, lp, rng, solvers
 from gbswitch.cli import (
     CSV_HEADER,
+    MAX_N_VALUES,
     build_parser,
     parse_exponent,
     parse_exponent_list,
@@ -75,6 +76,24 @@ def test_parse_n_values_accepts_and_rejects(text, values):
     else:
         with pytest.raises(argparse.ArgumentTypeError, match="invalid n specification"):
             parse_n_values(text)
+
+
+def test_parse_n_values_counts_before_listing():
+    assert parse_n_values(f"1:{MAX_N_VALUES}") == list(range(1, MAX_N_VALUES + 1))
+    assert parse_n_values(",".join(["2"] * MAX_N_VALUES)) == [2] * MAX_N_VALUES
+    for text in (f"1:{MAX_N_VALUES + 1}", ",".join(["2"] * (MAX_N_VALUES + 1)), "1:" + "9" * 40):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"values; the limit is {MAX_N_VALUES}$"):
+            parse_n_values(text)
+
+
+def test_long_n_range_exits_2_fast(monkeypatch, capsys):
+    t0 = time.perf_counter()
+    code, out = invoke(["scan", "--m", "2", "--n", "1:1000000000000000", "--seed", "1"], monkeypatch)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "gbswitch scan: error: argument --n: n specification '1:1000000000000000' has 1000000000000000 values; "
+        "the limit is 65536")
 
 
 def test_solve_exact_minimal_board(cf_file, monkeypatch):

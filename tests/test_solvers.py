@@ -131,43 +131,95 @@ def test_exact_max_witness_matches_lex_oracle(m, n):
         assert res.evaluations == 2 ** (n * (m - 1) - 1)
 
 
-def _kernel_index(rows, m, n):
-    """The kernel's enumeration indices of the (k, n(m-1)) sign rows with x_a[0] = -1 on axes 1..m-2; others dropped.
+def _kernel_blocks(monkeypatch, budget):
+    """Patch solvers.BLOCK_BYTES to ``budget`` and return the list of each kernel block's largest value.
 
-    The kernel pins x0[0] = +1 and those entries, and reads the n-1 other
-    coordinates of each axis 0..m-2 as bits, most significant first.
+    Every block sums |c| once, through ``solvers._abs_sum``, which the list records.
     """
-    signs = rows.reshape(len(rows), m - 1, n)
-    kept = signs[(signs[:, 1:, 0] == -1).all(axis=1), :, 1:].reshape(-1, (m - 1) * (n - 1))
-    return (kept > 0) @ (1 << np.arange(kept.shape[1], dtype=np.int64)[::-1])
+    monkeypatch.setattr(solvers, "BLOCK_BYTES", budget)
+    abs_sum, maxima = solvers._abs_sum, []
+
+    def recorded(*args):
+        values = abs_sum(*args)
+        maxima.append(int(values.max()))
+        return values
+
+    monkeypatch.setattr(solvers, "_abs_sum", recorded)
+    return maxima
 
 
+def _lex_first(board):
+    """(value, witness rows) of the first maximum in lex order, from ``lex_values``, the last axis by majority_fix."""
+    values, rows = lex_values(board)
+    first = int(values.argmax())
+    partial = rows(first)[0].reshape(board.dims.m - 1, board.dims.n)
+    return int(values[first]), partial.tolist() + [majority_fix(board, list(partial))[0].tolist()]
+
+
+# a 2**18-byte budget gives these shapes blocks of 2**14 visited assignments
 @pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 9, 11), (4, 6, 7)])
-def test_exact_max_witness_when_maxima_span_blocks(m, n, seed):
+def test_exact_max_witness_when_maxima_span_blocks(m, n, seed, monkeypatch):
     board = random_tensor(DimSpec(m, n), generator(seed, m, n))
     values, rows = lex_values(board)
-    maxima = np.flatnonzero(values == values.max())
-    assert len(set((_kernel_index(rows(maxima), m, n) >> _STACK_BITS).tolist())) > 1  # ties in more than one block
-    partial = rows(maxima[0])[0].reshape(m - 1, n)
+    partial = rows(int(values.argmax()))[0].reshape(m - 1, n)
     last = majority_fix(board, list(partial))[0]
+    blocks = _kernel_blocks(monkeypatch, 1 << 18)
     res = exact_max(board)
+    assert blocks.count(values.max()) > 1  # ties in more than one block
     assert res.value == values.max()
     assert res.witness.vectors.tolist() == partial.tolist() + [last.tolist()]
     assert res.evaluations == len(values)
 
 
 @pytest.mark.parametrize("m,n,seed", [(2, 16, 0), (2, 17, 0), (3, 9, 0), (4, 6, 0)])
-def test_exact_max_first_maximum_past_the_first_block(m, n, seed):
+def test_exact_max_first_maximum_past_the_first_block(m, n, seed, monkeypatch):
     board = random_tensor(DimSpec(m, n), generator(seed, m, n))
-    values, rows = lex_values(board)
-    first = int(np.flatnonzero(values == values.max())[0])
-    # the first maximum lies in a later high-half (m = 2) or prefix block of the kernel
-    assert _kernel_index(rows(first), m, n)[0] >= 1 << _STACK_BITS
-    partial = rows(first)[0].reshape(m - 1, n)
-    expected = partial.tolist() + [majority_fix(board, list(partial))[0].tolist()]
+    value, expected = _lex_first(board)
+    blocks = _kernel_blocks(monkeypatch, 1 << 18)
     assert exact_max(board).witness.vectors.tolist() == expected
+    # the first maximum lies in a later high-half (m = 2) or prefix block of the kernel
+    assert len(blocks) > 1 and blocks[0] < max(blocks) == value
     batch_values, witnesses = exact_max_batch(m, n, board.entries[None])
-    assert batch_values[0] == values.max() and witnesses[0].tolist() == expected
+    assert batch_values[0] == value and witnesses[0].tolist() == expected
+
+
+# The kernel sums |c| <= n**(m-1) in groups of g = 255 // n**(m-1) rows (int8 partial sums; 65535 // n**(m-1) for
+# int16): g = 23, 21, 17, 15 at m = 2, n = 11, 12, 15, 16 (one row left over at 16); g = 10, 7, 5, 3 at m = 3,
+# n = 5..8 (groups only from n = 7); g = 3 at (4, 4).
+@pytest.mark.parametrize("m,n", [(2, 11), (2, 12), (2, 15), (2, 16), (3, 5), (3, 6), (3, 7), (3, 8), (4, 4)])
+def test_exact_kernel_group_sums_match_lex_oracle(m, n):
+    boards = [board for board, _ in _planted_boards(m, n)] + _tie_heavy_boards(m, n)
+    boards += [random_tensor(DimSpec(m, n), generator(45, m, n, i)) for i in range(2)]
+    expected = [_lex_first(board) for board in boards]
+    for board, (value, witness) in zip(boards, expected):
+        res = exact_max(board)
+        assert (res.value, res.witness.vectors.tolist()) == (value, witness)
+    values, witnesses = exact_max_batch(m, n, np.stack([board.entries for board in boards]))
+    assert list(zip(values.tolist(), witnesses.tolist())) == expected
+
+
+@pytest.mark.parametrize("n,bits", [(10, 3), (11, 4)])
+def test_exact_kernel_high_table_in_many_blocks(n, bits, monkeypatch):
+    # 2**bits visited assignments per block: the low half has ``bits`` bits, and the high half's 2**(n-1-bits)
+    # rows outgrow the budget, so each table of 2**bits high rows starts from its own head and serves 1 block
+    boards = _tie_heavy_boards(2, n) + [random_tensor(DimSpec(2, n), generator(46, n, i)) for i in range(2)]
+    expected = [_lex_first(board) for board in boards]
+    sign_sums, tables = solvers._sign_sums, []
+
+    def recorded(base, rows):
+        tables.append(len(rows))
+        return sign_sums(base, rows)
+
+    monkeypatch.setattr(solvers, "_sign_sums", recorded)
+    blocks = _kernel_blocks(monkeypatch, n << bits)
+    for board, (value, witness) in zip(boards, expected):
+        blocks.clear()
+        tables.clear()
+        res = exact_max(board)
+        assert (res.value, res.witness.vectors.tolist()) == (value, witness)
+        assert len(blocks) == 1 << n - 1 - bits and tables == [bits] * (1 + (1 << n - 1 - 2 * bits))  # low, highs
+    values, witnesses = exact_max_batch(2, n, np.stack([board.entries for board in boards]))
+    assert list(zip(values.tolist(), witnesses.tolist())) == expected
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
@@ -240,15 +292,18 @@ def test_exact_max_batch_matches_exact_max_on_every_board(m, n):
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (4, 3)])
-def test_exact_max_batch_matches_exact_max_on_random_stacks(m, n):
-    # 300 boards fill more than one board block at m=2 n=7 and m=4 n=3
+def test_exact_max_batch_matches_exact_max_on_random_stacks(m, n, monkeypatch):
+    # under a 2**16-byte budget, 300 boards fill more than one board block at m=2 n=7 and m=4 n=3
+    monkeypatch.setattr(solvers, "BLOCK_BYTES", 1 << 16)
     boards = generator(43, m, n).integers(0, 2, size=(300, n ** m), dtype=np.int8) * 2 - 1
     _assert_batch_matches_exact_max(m, n, boards)
 
 
 @pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 8, 0), (4, 6, 7), (5, 4, 9), (3, 9, 11)])
-def test_exact_max_batch_when_maxima_span_blocks(m, n, seed):
-    # the first board is the one of test_exact_max_witness_when_maxima_span_blocks at the sizes that test has
+def test_exact_max_batch_when_maxima_span_blocks(m, n, seed, monkeypatch):
+    # the first board is the one of test_exact_max_witness_when_maxima_span_blocks at the sizes and budget that
+    # test has
+    monkeypatch.setattr(solvers, "BLOCK_BYTES", 1 << 18)
     boards = [random_tensor(DimSpec(m, n), generator(seed, m, n, *extra)) for extra in ((), (1,), (2,))]
     _assert_batch_matches_exact_max(m, n, np.stack([board.entries for board in boards]))
 
@@ -261,12 +316,14 @@ def test_exact_max_batch_every_4x4_board_matches_brute_force():
     assert witnesses.tobytes() == expected_witnesses.tobytes()
 
 
-def test_exact_max_batch_partial_board_block_matches_brute_force():
-    # 2**_STACK_BITS / 2**3 = 2048 boards share a block at n = 4, so the
-    # last of 2049 boards has a block to itself
+def test_exact_max_batch_partial_board_block_matches_brute_force(monkeypatch):
+    # a 2**16-byte budget holds 2**14 visited assignments of n = 4 boards, 2**3
+    # each: 2048 boards share a block, so the last of 2049 boards has a block to itself
     boards = generator(8, 2, 4).integers(0, 2, size=(2049, 16), dtype=np.int8) * 2 - 1
     boards[-1] = boards[0]
+    blocks = _kernel_blocks(monkeypatch, 1 << 16)
     values, witnesses = exact_max_batch(2, 4, boards)
+    assert len(blocks) == 2
     expected_values, expected_witnesses = lex_first_batch_m2(boards)
     assert np.array_equal(values, expected_values)
     assert witnesses.tobytes() == expected_witnesses.tobytes()
@@ -390,10 +447,11 @@ def test_value_census_is_the_same_in_many_blocks(monkeypatch):
         blocks.append(len(entries))
         return exact_max_batch(m, n, entries)
 
-    monkeypatch.setattr(solvers, "_STACK_BITS", 2)
+    kernel_blocks = _kernel_blocks(monkeypatch, 64)  # 4 boards of 16 entries; 2 boards of 2**3 assignments in a block
     monkeypatch.setattr(solvers, "exact_max_batch", recorded)
     assert value_census(2, 4) == one_block
     assert blocks == [4] * 128  # 2**9 normal forms in blocks of 2**2
+    assert len(kernel_blocks) == 256
 
 
 def test_value_census_3x3x3_histogram():
