@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Time the exact kernel at several block budgets (the sweep behind solvers.BLOCK_BYTES).
+"""Time the exact kernel at several block budgets (the sweep behind rng.BLOCK_BYTES).
 
 For each shape, times ``exact_max_batch`` at every budget in --budgets
-(powers of two, in bytes of a block's ``sums``), in interleaved rounds,
-and prints the median in ms per shape and budget with column totals.
+(powers of two, in bytes: the value of ``rng.BLOCK_BYTES``, the block of
+every stack), in interleaved rounds, and prints the median in ms per shape
+and budget with column totals.
 Single boards cover m = 2..5 with 2^10 to 2^--max-bits visited
 assignments; stacks cover small shapes, with enough seeded boards for
 about 2^--max-bits visited assignments in all. Outputs are the same at
@@ -20,7 +21,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # the kernel of this checkout
-from gbswitch import exact_max_batch, generator, solvers
+from gbswitch import exact_max_batch, generator, rng
 
 STACKS = ((2, 3), (2, 5), (2, 7), (2, 9), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (5, 3))
 
@@ -49,7 +50,7 @@ def main() -> int:
     for _ in range(args.rounds):
         for label, m, n, _count in cases:
             for b in budgets:
-                solvers.BLOCK_BYTES = 1 << b
+                rng.BLOCK_BYTES = 1 << b
                 t0 = time.perf_counter()
                 values, witnesses = exact_max_batch(m, n, stacks[label])
                 times[label, b].append(time.perf_counter() - t0)

@@ -26,7 +26,7 @@ from typing import Optional
 from . import bounds, experiments, lp, solvers
 from . import tensor as tz
 from .errors import BudgetExceeded, DimMismatch, InvalidExponent
-from .rng import generator, mix, sign_draws
+from .rng import generator, sign_vector
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -270,8 +270,9 @@ def _bound_check(m: int, n: int, p, value, exact: bool) -> tuple[Optional[float]
 _METHODS = {
     "exact": ({"force": False}, lambda T, p, force: solvers.exact_max(T, allow_large=force)),
     "greedy": ({"seed": None, "restarts": 64}, lambda T, p, **kw: solvers.random_restart_greedy(T, **kw)),
+    # local's start: m sign vectors drawn in turn from one generator(seed)
     "local": ({"seed": None, "max_flips": 10_000}, lambda T, p, seed, max_flips: solvers.local_search(
-        T, tz.make_assignment(T.dims, sign_draws([mix(seed)], T.dims.m, T.dims.n)[0]), max_flips)),
+        T, tz.make_assignment(T.dims, [sign_vector(g, T.dims.n) for g in [generator(seed)] * T.dims.m]), max_flips)),
     "alt": ({"seed": None, "starts": 8, "sweeps_max": 1000, "tol": 1e-10},
             lambda T, p, **kw: lp.alternating_max(T, p, **kw)),
 }
@@ -331,7 +332,7 @@ def _cmd_ksz(args) -> list[ExperimentRecord]:
     return records
 
 
-#: verify-bound scores all 2**((n-1)**2) n x n normal forms, so (n-1)**2 stays within this many bits (n = 6: ~40 s).
+#: verify-bound scores all 2**((n-1)**2) n x n normal forms, so (n-1)**2 stays within this many bits (n = 6: ~13 s).
 _SWEEP_BITS = 16
 
 

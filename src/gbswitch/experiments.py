@@ -9,9 +9,9 @@ predicted random-signs exponent.
 Seed discipline: the tensor for sample index i at side n is drawn from
 mix(seed, n, i); solver randomness, where needed, from mix(seed, n, i, 1).
 Sample minima therefore nest (more samples can only lower the minimum for
-the same root seed). The boards are drawn by ``rng.sign_draws`` in blocks
-of at most ``_BLOCK_ENTRIES`` entries, so memory does not grow with the
-sample count; exact norms take one ``exact_max_batch`` call per block.
+the same root seed). The boards are drawn by ``rng.sign_draws`` in blocks,
+so memory does not grow with the sample count; exact norms take one
+``exact_max_batch`` call per block.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ import numpy as np
 from .bounds import INF, as_exponent, ksz_exponent
 from .errors import DegenerateInput
 from .lp import _exponent_float, alternating_max
-from .rng import mix, sign_draws
+from .rng import _block_bits, mix, sign_draws
 from .solvers import exact_max_batch, exact_refusal
 from .tensor import DimSpec, make_tensor
-
-#: The boards of one block of samples hold at most this many entries.
-_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def sample_min_norm(m: int, n: int, p, samples: int, seed: int, *, starts: int =
     pc = as_exponent(p)
     dims = DimSpec(m, n)
     exact = norm_is_exact(dims, pc)
-    block = max(1, _BLOCK_ENTRIES // dims.size)
+    block = 1 << _block_bits(dims.size)  # a sample's int8 board
     minima = []
     for i0 in range(0, samples, block):
         indices = np.arange(i0, min(samples, i0 + block), dtype=np.uint64)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .bounds import as_exponent, as_float, as_text
 from .errors import InvalidExponent
-from .rng import mix, sign_draws
-from .tensor import SignTensor, _contract, _row_norms, _stack_rows, mixed_norm
+from .rng import _block_bits, mix, sign_draws
+from .tensor import SignTensor, _contract, _row_norms, mixed_norm
 
 _UNIT_TOL = 1e-12
 
@@ -128,12 +128,11 @@ def alternating_max(
     earliest start.
 
     The starts run as one (S, m, n) stack over one float64 copy of the
-    board, in blocks that keep every contraction temporary within
-    max(2**14 * n, n**(m-1)) elements. Each axis update is one stacked
-    contraction for every start still sweeping, and a start leaves the
-    stack at its own convergence sweep. A row computes bit for bit what the
-    start computes alone: its trace, sweep count and ``converged`` flag do
-    not depend on the other starts.
+    board, in blocks. Each axis update is one stacked contraction for every
+    start still sweeping, and a start leaves the stack at its own
+    convergence sweep. A row computes bit for bit what the start computes
+    alone: its trace, sweep count and ``converged`` flag do not depend on
+    the other starts.
     """
     pf = _exponent_float(p)
     if starts < 1:
@@ -146,7 +145,7 @@ def alternating_max(
     typed = tensor.view().astype(np.float64)
     moved = [np.moveaxis(typed, k, 0) for k in range(m)]
     others = [[j for j in range(m) if j != k] for k in range(m)]
-    block = _stack_rows(m, n)
+    block = 1 << _block_bits(8 * n ** max(1, m - 1))  # a start's first float64 contraction
     # random sign vectors pushed onto the lp sphere; for p = inf they are
     # already vertices of the ball
     scale = 1.0 if math.isinf(pf) else n ** (-1.0 / pf)

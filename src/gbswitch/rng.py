@@ -41,8 +41,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: Most entries one draw may hold (``check_draw``): 2**27 int8 entries take
 #: 1 GiB once a solver casts them to int64 or float64.
 MAX_DRAW_ENTRIES = 1 << 27
-#: ``sign_draws`` computes at most this many 64-bit outputs (seeds x steps) per pass.
-_DRAW_CHUNK = 1 << 14
+#: Bytes of one block of every stack (see ``_block_bits``): half of a 2 MiB per-core L2, the best budget of
+#: scripts/kernel_sweep.py.
+BLOCK_BYTES = 1 << 20
 
 
 def _splitmix64(x: int) -> int:
@@ -81,6 +82,14 @@ def check_draw(seeds: int, count: int, n: int) -> None:
     if entries > MAX_DRAW_ENTRIES:
         raise BudgetExceeded(f"a draw of {seeds} x {count} x {n} = {entries} signs exceeds "
                              f"the 2**{MAX_DRAW_ENTRIES.bit_length() - 1} entry limit")
+
+
+def _block_bits(row_bytes: int) -> int:
+    """The largest b >= 0 with 2**b rows of ``row_bytes`` bytes within BLOCK_BYTES (0 if one row is larger).
+
+    Every stack runs in blocks of 2**b rows; BLOCK_BYTES is read at each call.
+    """
+    return max(0, (BLOCK_BYTES // row_bytes).bit_length() - 1)
 
 
 def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
@@ -166,8 +175,11 @@ def sign_draws(seeds, count: int, n: int) -> np.ndarray:
     width = -(-n // 4) * 4
     steps = -(-count * width // 8)
     out = np.empty((len(seeds), count, n), dtype=np.int8)
-    block = max(1, _DRAW_CHUNK // max(1, steps))
-    a_hi, a_lo, c_hi, c_lo = _jumps(min(_DRAW_CHUNK, 1 << max(0, steps - 1).bit_length()) + 1)
+    # outputs (seeds x steps) per pass: an output's uint64 temporaries, the last pass's still held, take at most
+    # 240 bytes (233 measured at one output per seed, where its seed's hash adds most; ~125 at many)
+    chunk = 1 << _block_bits(240)
+    block = max(1, chunk // max(1, steps))
+    a_hi, a_lo, c_hi, c_lo = _jumps(min(chunk, 1 << max(0, steps - 1).bit_length()) + 1)
     for b0 in range(0, len(seeds), block):
         words = _pcg64_words(seeds[b0:b0 + block])[:, :, None]
         # srandom(initstate, initseq): inc = 2 initseq + 1, state_0 = (initstate + inc) M + inc, so the
@@ -175,8 +187,8 @@ def sign_draws(seeds, count: int, n: int) -> np.ndarray:
         inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
         (s_hi, s_lo), j = _add128(*inc, words[:, 0], words[:, 1]), 1
         signs = np.empty((len(words), steps * 8), dtype=np.int8)
-        for t0 in range(0, steps, _DRAW_CHUNK):
-            t = min(_DRAW_CHUNK, steps - t0)
+        for t0 in range(0, steps, chunk):
+            t = min(chunk, steps - t0)
             hi, lo = _add128(*_mul128(a_hi[j:j + t], a_lo[j:j + t], s_hi, s_lo),
                              *_mul128(c_hi[j:j + t], c_lo[j:j + t], *inc))
             s_hi, s_lo, j = hi[:, -1:], lo[:, -1:], 0

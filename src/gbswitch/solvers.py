@@ -18,12 +18,13 @@ axes 0..m-3) contracts the board to an n x n matrix M, and the free
 coordinates of axis m-2 split into halves whose partial sums H = S_hi @ M_hi
 (with the pinned row 0) and L = S_lo @ M_lo are tabulated once per prefix
 block by doubling trees, so c = H[hi] + L[lo] costs about n operations per
-assignment. Blocks are sized in bytes: a block (boards x prefixes x high
-halves x every low half) holds the largest power of two of boards x
-assignments whose c, n integers each, fits BLOCK_BYTES (``_block_bits``).
+assignment. Blocks are sized by ``rng._block_bits``: a block (boards x
+prefixes x high halves x every low half) holds the largest power of two of
+boards x assignments whose c, n integers each, fits ``rng.BLOCK_BYTES``, and
+no more boards than fit the int32 witness decode's products, n**m per board.
 Its blocks slice the one H table of their prefix block; only past the
 default exact budget (from n = 32 at m = 2, n = 30 at m = 3) would H outgrow
-BLOCK_BYTES, and it is then built in pieces, each from its own head of high
+the budget, and it is then built in pieces, each from its own head of high
 bits. A block is laid out (n, high, low, prefix, board): the last axis
 outermost, so sum|c| adds whole rows, and prefixes next to boards, so every
 pass runs over long rows. Its values are read in index order (prefix, high,
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, LengthMismatch
-from .rng import mix, sign_draws
+from .rng import _block_bits, mix, sign_draws
 from .tensor import (
     DimSpec,
     SignTensor,
@@ -66,16 +67,11 @@ from .tensor import (
     evaluate,
     make_assignment,
     partial_contraction,
-    _stack_rows,
     _validate_signs,
 )
 
 #: Refuse exact enumeration beyond 2**30 assignments unless overridden.
 EXACT_BUDGET_BITS = 30
-
-#: Bytes of one exact-kernel block's partial sums c, and of the re-check's and the census's blocks of boards:
-#: half of a 2 MiB per-core L2, the best budget of scripts/kernel_sweep.py.
-BLOCK_BYTES = 1 << 20
 
 
 def _certified_bits(m: int, n: int) -> int:
@@ -221,11 +217,6 @@ def _prefix_matrices(view: np.ndarray, m: int, n: int, start: int, count_bits: i
     return cur.reshape(n, n, *digits[::-1], view.shape[1]).transpose(order).reshape(n, n, -1, view.shape[1])
 
 
-def _block_bits(row_bytes: int) -> int:
-    """The largest b >= 0 with 2**b rows of ``row_bytes`` bytes within BLOCK_BYTES (0 if one row is larger)."""
-    return max(0, (BLOCK_BYTES // row_bytes).bit_length() - 1)
-
-
 def _abs_sum(c: np.ndarray, group: int, total: np.dtype) -> np.ndarray:
     """sum|c| over axis 0 of a signed c, which becomes |c|: ``group`` rows at a time in the unsigned type of c's width.
 
@@ -255,7 +246,7 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
     hbits = kbits - lbits
     tbits = min(hbits, bits)  # rows of the high table: all 2**hbits unless they outgrow the budget
     pblock, hblock = max(0, min(pbits, bits - kbits)), min(hbits, bits - lbits)
-    bblock = 1 << max(0, bits - kbits - pbits)
+    bblock = 1 << max(0, min(bits - kbits - pbits, _block_bits(4 * n ** m)))  # c and the int32 decode's c * cols fit
     best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)  # index: sign words
     witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
@@ -307,8 +298,7 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
 
     Row i matches ``exact_max`` on the board with flat entries ``entries[i]``,
     witness bytes included. Input errors are raised before any kernel array
-    exists; every witness is re-evaluated in int64, in blocks of boards
-    whose (n**m, boards) int64 array fits BLOCK_BYTES (AssertionError if not).
+    exists; every witness is re-evaluated in int64 (AssertionError if not).
     """
     boards = np.asarray(entries)
     if boards.ndim != 2 or boards.shape[1] != DimSpec(m, n).size:
@@ -331,8 +321,7 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
 def value_census(m: int, n: int) -> dict[int, int]:
     """The number of +/-1 boards with n**m entries at each exact value, in ascending value order.
 
-    Normal forms are scored in blocks of int8 rows within BLOCK_BYTES, each count weighted by the class size
-    2**(m(n-1)+1).
+    Normal forms are scored in blocks of int8 rows, each count weighted by the class size 2**(m(n-1)+1).
     """
     bits = _free_entries(m, n) + _certified_bits(m, n)  # 2**F forms of one solve each: one solve's budget for all
     if bits > EXACT_BUDGET_BITS:
@@ -362,10 +351,9 @@ def random_restart_greedy(tensor: SignTensor, restarts: int, seed: int) -> Solve
     Restart r draws its m-1 sign vectors from the stream of
     ``generator(seed, r)``; the result is a deterministic function of
     (tensor, restarts, seed), and ties keep the earliest restart. Restarts
-    run in stacks of ``tensor._stack_rows`` rows: one ``rng.sign_draws``
-    call seeds and draws a stack, and each restart contracts the float64
-    board with one BLAS gemv per axis, axis 0 first; a later stack wins
-    only if strictly greater.
+    run in stacks: one ``rng.sign_draws`` call seeds and draws a stack, and
+    each restart contracts the float64 board with one BLAS gemv per axis,
+    axis 0 first; a later stack wins only if strictly greater.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -374,7 +362,7 @@ def random_restart_greedy(tensor: SignTensor, restarts: int, seed: int) -> Solve
     # integer of magnitude <= n**m <= tensor.MAX_ENTRIES = 2**40 < 2**53, so
     # each float64 add and multiply is exact in any order, with or without FMA.
     board = tensor.view().astype(np.float64)
-    block = _stack_rows(m, n)
+    block = 1 << _block_bits(8 * n ** max(1, m - 1))  # a restart's first float64 contraction
     best_value = -1
     best_vectors = None
     for r0 in range(0, restarts, block):

@@ -191,20 +191,6 @@ def partial_contraction(tensor: SignTensor, axis: int, vectors: Sequence[np.ndar
     return _contract(np.moveaxis(tensor.view(), axis, 0).astype(dtype), stack)[0]
 
 
-#: A contraction stack runs in blocks of ``_stack_rows`` rows.
-_STACK_BITS = 14
-
-
-def _stack_rows(m: int, n: int) -> int:
-    """Rows per block of an (S, m-1, n) contraction stack.
-
-    Every temporary of ``_contract`` then stays within
-    max(2**_STACK_BITS * n, n**(m-1)) elements (the float solvers' rule; the
-    exact kernel sizes its blocks in bytes, ``solvers.BLOCK_BYTES``).
-    """
-    return max(1, (n << _STACK_BITS) // n ** max(1, m - 1))
-
-
 def _contract(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Contract a typed board view with each row of an (S, m-1, n) vector stack.
 

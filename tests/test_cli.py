@@ -548,14 +548,14 @@ def test_stacked_draws_output_matches_per_seed_loop(tmp_path, monkeypatch):
 
     shipped = outputs()
     calls = {}
-    for module in (cli, experiments, lp, solvers):
+    for module in (experiments, lp, solvers):
         def loop(seeds, count, n, name=module.__name__):
             calls[name] = calls.get(name, 0) + 1
             return sign_draws_loop(seeds, count, n)
 
         monkeypatch.setattr(module, "sign_draws", loop)
     assert outputs() == shipped
-    assert sorted(calls) == ["gbswitch.cli", "gbswitch.experiments", "gbswitch.lp", "gbswitch.solvers"]
+    assert sorted(calls) == ["gbswitch.experiments", "gbswitch.lp", "gbswitch.solvers"]
 
 
 #: sha256 of stdout with GB_FIXED_RUNTIME_MS=0; any change to a printed byte shows here.

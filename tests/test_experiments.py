@@ -20,6 +20,7 @@ from gbswitch import (
     sharpness_experiment,
     solvers,
 )
+from gbswitch import rng as rng_module
 from gbswitch.cli import run
 
 
@@ -56,7 +57,7 @@ def test_sample_min_norm_blocks_match_per_sample_loop(monkeypatch, m, n, p):
         stacks.append(len(seeds))
         return draw(seeds, count, size)
 
-    monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * dims.size + 1)
+    monkeypatch.setattr(rng_module, "BLOCK_BYTES", 2 * dims.size + 1)  # two int8 boards per block
     monkeypatch.setattr(experiments, "sign_draws", recording)
     sample = sample_min_norm(m, n, p, samples, seed)
     assert sample.min_norm == float(expected)

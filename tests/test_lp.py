@@ -22,7 +22,7 @@ from gbswitch import (
     random_tensor,
     weak_l1_norm,
 )
-from gbswitch import tensor as tensor_module
+from gbswitch import rng as rng_module
 from gbswitch.lp import lp_norm
 from gbswitch.rng import sign_vector
 from gbswitch.tensor import SignTensor
@@ -284,7 +284,7 @@ def test_alternating_max_zero_contractions_match_loop():
 
 
 def test_alternating_max_blocks_match_loop(monkeypatch):
-    monkeypatch.setattr(tensor_module, "_STACK_BITS", 1)  # two starts per block at m = 2
+    monkeypatch.setattr(rng_module, "BLOCK_BYTES", 2 * 8 * 6)  # two starts per block: a start's first contraction
     board = random_tensor(DimSpec(2, 6), generator(44))
     for p in (Fraction(3, 2), 3):
         _assert_same_ascent(alternating_max(board, p, starts=7, seed=5), alternating_max_loop(board, p, starts=7, seed=5))

@@ -1,13 +1,30 @@
 """rng: seed folding and the stacked sign draws, against numpy's per-seed streams."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import sign_draws_loop
-from gbswitch import BudgetExceeded, DimSpec, generator, mix, random_tensor, rng, sign_draws, tensor
+from gbswitch import (
+    BudgetExceeded,
+    DimSpec,
+    alternating_max,
+    exact_max_batch,
+    experiments,
+    generator,
+    lp,
+    mix,
+    random_restart_greedy,
+    random_tensor,
+    rng,
+    sample_min_norm,
+    sign_draws,
+    solvers,
+    tensor,
+)
 from gbswitch.rng import sign_vector
 
 #: Both ends of each 32-bit word; 0, 1, 5, 2**31 and 2**32-1 have a zero high word.
@@ -43,7 +60,7 @@ def test_mix_on_uint64_arrays_matches_scalar_mix():
 # into each 32-bit output and PCG64 carries the spare half of a 64-bit
 # output into the next call of the same stream (ceil(n/4) * count odd,
 # e.g. n = 27 or 49 at count 1 and 3). At n = 256 the 510 seeds take
-# several passes of rng._DRAW_CHUNK outputs.
+# several passes.
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 13, 27, 49, 64, 256])
 def test_sign_draws_matches_per_seed_loop(n, count):
@@ -54,9 +71,12 @@ def test_sign_draws_matches_per_seed_loop(n, count):
     assert np.array_equal(sign_draws(np.array(seeds, dtype=np.uint64), count, n), got)
 
 
-def test_sign_draws_seed_stack_past_one_pass():
-    seeds = mix(7, np.arange(rng._DRAW_CHUNK + 1000, dtype=np.uint64))
+def test_sign_draws_seed_stack_past_one_pass(monkeypatch):
+    seeds = mix(7, np.arange(2**14 + 1000, dtype=np.uint64))
+    words, blocks = rng._pcg64_words, []
+    monkeypatch.setattr(rng, "_pcg64_words", lambda block: blocks.append(len(block)) or words(block))
     assert np.array_equal(sign_draws(seeds, 1, 5), sign_draws_loop(seeds, 1, 5))
+    assert len(blocks) > 1 and sum(blocks) == len(seeds)
 
 
 def _jumps_loop(steps: int) -> np.ndarray:
@@ -69,17 +89,19 @@ def _jumps_loop(steps: int) -> np.ndarray:
 
 
 def test_jump_table_matches_stepwise_loop():
-    oracle = _jumps_loop(rng._DRAW_CHUNK)
-    for k in range(rng._DRAW_CHUNK.bit_length()):
-        table = rng._jumps(1 << k)
+    steps = (1 << rng._block_bits(240)) + 1  # the longest table sign_draws asks for: a pass and one step
+    oracle = _jumps_loop(steps)
+    for size in [1 << k for k in range(steps.bit_length())] + [steps]:
+        table = rng._jumps(size)
         assert table.dtype == np.uint64 and not table.flags.writeable
-        assert np.array_equal(table, oracle[:, :1 << k]), k
+        assert np.array_equal(table, oracle[:, :size]), size
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
 def test_sign_draws_chunked_passes_keep_bytes(monkeypatch, chunk):
-    # a pass may end inside one seed's stream (chunk < steps), so the LCG
-    # state must carry over between passes; no product exceeds a pass
+    # a budget of ``chunk`` outputs (240 bytes each) gives passes of the largest power of two within it; a pass
+    # may end inside one seed's stream (chunk < steps), so the LCG state must carry over between passes; no
+    # product exceeds a pass
     shapes = [(seeds, count, n) for seeds in (EDGE_SEEDS, MIX_SEEDS[:40]) for count, n in ((1, 27), (3, 49), (2, 256))]
     expected = [sign_draws(*shape) for shape in shapes]
     largest = []
@@ -91,11 +113,42 @@ def test_sign_draws_chunked_passes_keep_bytes(monkeypatch, chunk):
         return out
 
     monkeypatch.setattr(rng, "_mul128", recording)
-    monkeypatch.setattr(rng, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(rng, "BLOCK_BYTES", 240 * chunk)
     for shape, want in zip(shapes, expected):
         largest.clear()
         assert np.array_equal(sign_draws(*shape), want)
         assert max(largest) <= chunk
+
+
+def test_one_budget_moves_every_stack(monkeypatch):
+    # rng.BLOCK_BYTES alone splits each stack into several blocks or passes, each counted by the calls it makes
+    # (draws of restarts, starts and samples, seed blocks of a draw, |c| sums of the exact kernel), and no output
+    # byte moves
+    board = random_tensor(DimSpec(3, 8), generator(3))
+    boards = generator(4).integers(0, 2, size=(256, 16), dtype=np.int8) * 2 - 1
+    seeds = mix(5, np.arange(300, dtype=np.uint64))
+
+    def ascent():
+        res = alternating_max(board, 3, starts=20, sweeps_max=5, seed=2)
+        return res.value, [point.coords.tobytes() for point in res.points], res.trace
+
+    runs = [
+        (solvers, "sign_draws", lambda: random_restart_greedy(board, 40, 1)),
+        (lp, "sign_draws", ascent),
+        (experiments, "sign_draws", lambda: sample_min_norm(2, 4, math.inf, 600, 7)),
+        (rng, "_pcg64_words", lambda: sign_draws(seeds, 2, 27).tobytes()),
+        (solvers, "_abs_sum", lambda: [a.tobytes() for a in exact_max_batch(2, 4, boards)]),
+    ]
+    default = rng.BLOCK_BYTES
+    for module, name, run in runs:
+        calls, inner = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, calls=calls, inner=inner: calls.append(1) or inner(*args))
+        expected, blocks = run(), len(calls)
+        monkeypatch.setattr(rng, "BLOCK_BYTES", 1 << 12)
+        calls.clear()
+        assert run() == expected, name
+        assert blocks == 1 < len(calls), (module.__name__, name, len(calls))
+        monkeypatch.setattr(rng, "BLOCK_BYTES", default)
 
 
 def test_sign_draws_is_generator_and_random_tensor():

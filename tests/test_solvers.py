@@ -42,10 +42,10 @@ from gbswitch import (
     sign_rows,
     value_census,
 )
+from gbswitch import rng as rng_module
 from gbswitch import solvers
 from gbswitch import tensor as tensor_module
 from gbswitch.solvers import _signs_at
-from gbswitch.tensor import _STACK_BITS
 
 D22 = DimSpec(2, 2)
 CF = make_tensor(D22, [1, 1, 1, -1])
@@ -132,11 +132,11 @@ def test_exact_max_witness_matches_lex_oracle(m, n):
 
 
 def _kernel_blocks(monkeypatch, budget):
-    """Patch solvers.BLOCK_BYTES to ``budget`` and return the list of each kernel block's largest value.
+    """Patch rng.BLOCK_BYTES to ``budget`` and return the list of each kernel block's largest value.
 
     Every block sums |c| once, through ``solvers._abs_sum``, which the list records.
     """
-    monkeypatch.setattr(solvers, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(rng_module, "BLOCK_BYTES", budget)
     abs_sum, maxima = solvers._abs_sum, []
 
     def recorded(*args):
@@ -293,19 +293,24 @@ def test_exact_max_batch_matches_exact_max_on_every_board(m, n):
 
 @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (4, 3)])
 def test_exact_max_batch_matches_exact_max_on_random_stacks(m, n, monkeypatch):
-    # under a 2**16-byte budget, 300 boards fill more than one board block at m=2 n=7 and m=4 n=3
-    monkeypatch.setattr(solvers, "BLOCK_BYTES", 1 << 16)
+    # under a 2**13-byte budget, 300 boards fill more than one board block at every size here
     boards = generator(43, m, n).integers(0, 2, size=(300, n ** m), dtype=np.int8) * 2 - 1
+    blocks = _kernel_blocks(monkeypatch, 1 << 13)
+    exact_max_batch(m, n, boards)
+    assert len(blocks) > 1
     _assert_batch_matches_exact_max(m, n, boards)
 
 
 @pytest.mark.parametrize("m,n,seed", [(2, 16, 1), (3, 8, 0), (4, 6, 7), (5, 4, 9), (3, 9, 11)])
 def test_exact_max_batch_when_maxima_span_blocks(m, n, seed, monkeypatch):
-    # the first board is the one of test_exact_max_witness_when_maxima_span_blocks at the sizes and budget that
-    # test has
-    monkeypatch.setattr(solvers, "BLOCK_BYTES", 1 << 18)
-    boards = [random_tensor(DimSpec(m, n), generator(seed, m, n, *extra)) for extra in ((), (1,), (2,))]
-    _assert_batch_matches_exact_max(m, n, np.stack([board.entries for board in boards]))
+    # the first board is the one of test_exact_max_witness_when_maxima_span_blocks at the sizes that test has:
+    # its maxima span 2**18-byte blocks, so they span the 2**16-byte blocks here too, which split every stack
+    boards = np.stack([random_tensor(DimSpec(m, n), generator(seed, m, n, *extra)).entries
+                       for extra in ((), (1,), (2,))])
+    blocks = _kernel_blocks(monkeypatch, 1 << 16)
+    exact_max_batch(m, n, boards)
+    assert len(blocks) > 1
+    _assert_batch_matches_exact_max(m, n, boards)
 
 
 def test_exact_max_batch_every_4x4_board_matches_brute_force():
@@ -317,11 +322,11 @@ def test_exact_max_batch_every_4x4_board_matches_brute_force():
 
 
 def test_exact_max_batch_partial_board_block_matches_brute_force(monkeypatch):
-    # a 2**16-byte budget holds 2**14 visited assignments of n = 4 boards, 2**3
-    # each: 2048 boards share a block, so the last of 2049 boards has a block to itself
+    # a 2**17-byte budget holds the int32 witness decode (4 * 16 bytes per board) of 2048 n = 4 boards, of
+    # 2**3 visited assignments each: 2048 boards share a block, so the last of 2049 boards has a block to itself
     boards = generator(8, 2, 4).integers(0, 2, size=(2049, 16), dtype=np.int8) * 2 - 1
     boards[-1] = boards[0]
-    blocks = _kernel_blocks(monkeypatch, 1 << 16)
+    blocks = _kernel_blocks(monkeypatch, 1 << 17)
     values, witnesses = exact_max_batch(2, 4, boards)
     assert len(blocks) == 2
     expected_values, expected_witnesses = lex_first_batch_m2(boards)
@@ -396,13 +401,14 @@ def test_sign_rows_lexicographic():
     assert sign_rows(2).tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     assert sign_rows(3)[5:7].tolist() == [[1, -1, 1], [1, 1, -1]]
     assert sign_rows(0).shape == (1, 0)
-    small = sign_rows(_STACK_BITS)
-    assert small.dtype == np.int8 and small.flags.writeable and small is not sign_rows(_STACK_BITS)
-    big = sign_rows(_STACK_BITS + 1)
-    assert np.array_equal(_signs_at(np.arange(3, 9), _STACK_BITS + 1), big[3:9])
-    assert np.array_equal(_signs_at(9, _STACK_BITS + 1), big[9])  # an int gives one row
+    bits = 14
+    small = sign_rows(bits)
+    assert small.dtype == np.int8 and small.flags.writeable and small is not sign_rows(bits)
+    big = sign_rows(bits + 1)
+    assert np.array_equal(_signs_at(np.arange(3, 9), bits + 1), big[3:9])
+    assert np.array_equal(_signs_at(9, bits + 1), big[9])  # an int gives one row
     assert np.array_equal(big[:, 1:], np.vstack([small, small]))
-    assert np.array_equal(big[:, 0], np.repeat([-1, 1], 1 << _STACK_BITS))
+    assert np.array_equal(big[:, 0], np.repeat([-1, 1], 1 << bits))
     assert _signs_at(np.arange(2**39 - 1, 2**39 + 1), 40).tolist() == [[-1] + [1] * 39, [1] + [-1] * 39]
 
 
@@ -447,10 +453,12 @@ def test_value_census_is_the_same_in_many_blocks(monkeypatch):
         blocks.append(len(entries))
         return exact_max_batch(m, n, entries)
 
-    kernel_blocks = _kernel_blocks(monkeypatch, 64)  # 4 boards of 16 entries; 2 boards of 2**3 assignments in a block
+    # 8 boards of 16 entries per census block; a kernel block would hold the c of 4 boards of 2**3 assignments,
+    # but the int32 witness decode of 16 entries per board caps it at 2 boards
+    kernel_blocks = _kernel_blocks(monkeypatch, 128)
     monkeypatch.setattr(solvers, "exact_max_batch", recorded)
     assert value_census(2, 4) == one_block
-    assert blocks == [4] * 128  # 2**9 normal forms in blocks of 2**2
+    assert blocks == [8] * 64  # 2**9 normal forms in blocks of 2**3
     assert len(kernel_blocks) == 256
 
 
@@ -702,10 +710,11 @@ def test_random_restart_greedy_matches_per_restart_loop(monkeypatch, m, n, seed)
     assert tensor_module.MAX_ENTRIES < 2 ** 53  # so the float64 contractions of +/-1 boards are exact
     board = random_tensor(DimSpec(m, n), generator(seed))
     value, witness, first = greedy_loop(board, 40, seed)
-    for bits in (0, 1, 14):
-        monkeypatch.setattr(tensor_module, "_STACK_BITS", bits)
-        if m >= 2 and bits < 14:
-            assert first >= tensor_module._stack_rows(m, n)  # the first maximum lies in a later block
+    row = 8 * n ** max(1, m - 1)  # a restart's float64 first contraction
+    for rows, budget in ((1, row), (2, 2 * row), (None, rng_module.BLOCK_BYTES)):
+        monkeypatch.setattr(rng_module, "BLOCK_BYTES", budget)
+        if m >= 2 and rows:
+            assert first >= rows  # the first maximum lies in a later block of ``rows`` restarts
         res = random_restart_greedy(board, 40, seed)
         assert (res.value, res.witness.vectors.tobytes(), res.evaluations) == (value, witness.tobytes(), 40)
 
