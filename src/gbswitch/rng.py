@@ -174,26 +174,27 @@ def sign_draws(seeds, count: int, n: int) -> np.ndarray:
     # bit 7 of byte i of the little-endian words, as Lemire's rule at range 2 never rejects.
     width = -(-n // 4) * 4
     steps = -(-count * width // 8)
-    out = np.empty((len(seeds), count, n), dtype=np.int8)
-    # outputs (seeds x steps) per pass: an output's uint64 temporaries, the last pass's still held, take at most
-    # 240 bytes (233 measured at one output per seed, where its seed's hash adds most; ~125 at many)
-    chunk = 1 << _block_bits(240)
+    # outputs (seeds x steps) per pass: at most 168 bytes of uint64 temporaries each (161 measured at one per seed)
+    chunk = 1 << _block_bits(168)
     block = max(1, chunk // max(1, steps))
+    if len(seeds) > block:  # one call per seed block, whose arrays are freed before the next block's seeds hash
+        out = np.empty((len(seeds), count, n), dtype=np.int8)
+        for b0 in range(0, len(seeds), block):
+            out[b0:b0 + block] = sign_draws(seeds[b0:b0 + block], count, n)
+        return out
     a_hi, a_lo, c_hi, c_lo = _jumps(min(chunk, 1 << max(0, steps - 1).bit_length()) + 1)
-    for b0 in range(0, len(seeds), block):
-        words = _pcg64_words(seeds[b0:b0 + block])[:, :, None]
-        # srandom(initstate, initseq): inc = 2 initseq + 1, state_0 = (initstate + inc) M + inc, so the
-        # t-th output's state is A_(t+1) (initstate + inc) + C_(t+1) inc: the first pass reads one column on
-        inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
-        (s_hi, s_lo), j = _add128(*inc, words[:, 0], words[:, 1]), 1
-        signs = np.empty((len(words), steps * 8), dtype=np.int8)
-        for t0 in range(0, steps, chunk):
-            t = min(chunk, steps - t0)
-            hi, lo = _add128(*_mul128(a_hi[j:j + t], a_lo[j:j + t], s_hi, s_lo),
-                             *_mul128(c_hi[j:j + t], c_lo[j:j + t], *inc))
-            s_hi, s_lo, j = hi[:, -1:], lo[:, -1:], 0
-            rot, word = hi >> 58, hi ^ lo  # XSL-RR: xor-fold, then rotate right by the top 6 bits
-            word = word >> rot | word << ((64 - rot) & 63)
-            signs[:, 8 * t0:8 * (t0 + t)] = word.astype("<u8", copy=False).view(np.uint8) >> 7
-        out[b0:b0 + block] = signs[:, :count * width].reshape(len(signs), count, width)[:, :, :n] * 2 - 1
-    return out
+    words = _pcg64_words(seeds)[:, :, None]
+    # srandom(initstate, initseq): inc = 2 initseq + 1, state_0 = (initstate + inc) M + inc, so the
+    # t-th output's state is A_(t+1) (initstate + inc) + C_(t+1) inc: the first pass reads one column on
+    inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
+    (s_hi, s_lo), j = _add128(*inc, words[:, 0], words[:, 1]), 1
+    signs = np.empty((len(words), steps * 8), dtype=np.int8)
+    for t0 in range(0, steps, chunk):
+        t = min(chunk, steps - t0)
+        hi, lo = _add128(*_mul128(a_hi[j:j + t], a_lo[j:j + t], s_hi, s_lo),
+                         *_mul128(c_hi[j:j + t], c_lo[j:j + t], *inc))
+        s_hi, s_lo, j = hi[:, -1:], lo[:, -1:], 0
+        rot, word = hi >> 58, hi ^ lo  # XSL-RR: xor-fold, then rotate right by the top 6 bits
+        word = word >> rot | word << ((64 - rot) & 63)
+        signs[:, 8 * t0:8 * (t0 + t)] = word.astype("<u8", copy=False).view(np.uint8) >> 7
+    return signs[:, :count * width].reshape(len(signs), count, width)[:, :, :n] * 2 - 1

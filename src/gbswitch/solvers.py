@@ -21,7 +21,7 @@ block by doubling trees, so c = H[hi] + L[lo] costs about n operations per
 assignment. Blocks are sized by ``rng._block_bits``: a block (boards x
 prefixes x high halves x every low half) holds the largest power of two of
 boards x assignments whose c, n integers each, fits ``rng.BLOCK_BYTES``, and
-no more boards than fit the int32 witness decode's products, n**m per board.
+no more boards than fit it at 4 bytes per entry, the widest board view.
 Its blocks slice the one H table of their prefix block; only past the
 default exact budget (from n = 32 at m = 2, n = 30 at m = 3) would H outgrow
 the budget, and it is then built in pieces, each from its own head of high
@@ -42,9 +42,9 @@ holds +n**(m-1): int8 up to 127, int16 up to 32767, else int32
 does not). After it, |c| is summed in groups of g = max // n**(m-1) rows in
 the unsigned type of the same width, so that a group's sum fits, and the
 group sums in the narrowest unsigned type that holds n**m (``_abs_sum``).
-The witness decode sums in int32 and
-``exact_max_batch`` re-checks every witness in int64, so neither check
-shares the narrowed arithmetic.
+The kernel returns values and the sign words of axes 0..m-2; ``_witnesses``
+decodes each word once, closes axis m-1 by sign(c) and proves in int64, off
+the narrowed arithmetic, that sum|c|, the form there, is the value.
 
 Sign convention everywhere: sign(0) = +1. The achieved value is unaffected
 (a zero partial sum contributes nothing), but witnesses stay reproducible.
@@ -231,11 +231,11 @@ def _abs_sum(c: np.ndarray, group: int, total: np.dtype) -> np.ndarray:
 
 
 def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Values (B,) int64 and first-maximum witnesses (B, m, n) int8 of a (B, n**m) stack, in board-minor blocks."""
+    """Values (B,) int64 and first-maximum ``_signs_at`` words (B,) int64 of axes 0..m-2 of a (B, n**m) stack."""
     if reason := exact_refusal(m, n, allow_large):
         raise BudgetExceeded(reason)
     if m == 1:
-        return np.full(len(boards), n, dtype=np.int64), _sign_of(boards).reshape(-1, 1, n)
+        return np.full(len(boards), n, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)
     # the widths of the module docstring: -1 - bound fits a signed type iff +bound does
     part = np.min_scalar_type(-1 - n ** (m - 1))
     wide = np.dtype(f"u{part.itemsize}")  # |c| <= n**(m-1), so g = max // n**(m-1) rows of it sum within ``wide``
@@ -246,9 +246,9 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
     hbits = kbits - lbits
     tbits = min(hbits, bits)  # rows of the high table: all 2**hbits unless they outgrow the budget
     pblock, hblock = max(0, min(pbits, bits - kbits)), min(hbits, bits - lbits)
-    bblock = 1 << max(0, min(bits - kbits - pbits, _block_bits(4 * n ** m)))  # c and the int32 decode's c * cols fit
+    # c fits, and so do the board view at 4 bytes an entry and the prefix matrices and tables (as large as c at n = 2)
+    bblock = 1 << max(0, min(bits - kbits - pbits, _block_bits(4 * n ** m)))
     best, index = np.full(len(boards), -1, dtype=np.int64), np.zeros(len(boards), dtype=np.int64)  # index: sign words
-    witnesses = np.empty((len(boards), m, n), dtype=np.int8)
     for b0 in range(0, len(boards), bblock):
         # (n**m, B), board-minor: every sum until the abs is a partial contraction within +-n**(m-1), in ``part``
         view = boards[b0:b0 + bblock].T.astype(part, order="C")
@@ -272,24 +272,31 @@ def _exact_kernel(m: int, n: int, boards: np.ndarray, allow_large: bool = False)
                         # k counts (prefix, high, low) from (p0, t0 + h0, 0): a block has one prefix or every high half
                         best[b0] = values[k[0], 0]
                         index[b0] = _pinned_words(int(k[0]) + ((p0 << kbits) | ((t0 + h0) << lbits)), m - 1, n)
-        del sums  # freed before the int32 decode, so that the two never coexist
-        partial = _signs_at(index[b0:b0 + bblock], n * (m - 1))
-        c, cols = view, partial.T.astype(np.int32, order="C")
+    return best, index
+
+
+def _witnesses(m: int, n: int, boards, values, index) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and int8 witnesses: words ``index`` on axes 0..m-2, sign(c) on m-1, proved by sum|c| in int64."""
+    witnesses, bblock = np.empty((len(boards), m, n), dtype=np.int8), 1 << _block_bits(8 * n ** m)  # int64 boards
+    for b0 in range(0, len(boards), bblock):
+        w, c = witnesses[b0:b0 + bblock], boards[b0:b0 + bblock].T.astype(np.int64, order="C")  # c board-minor
+        w[:, :m - 1] = _signs_at(index[b0:b0 + bblock], n * (m - 1)).reshape(len(w), m - 1, n)
         for a in range(m - 1):
-            c = (c.reshape(n, -1, width) * cols[a * n:(a + 1) * n, None]).sum(axis=0, dtype=np.int32)
-        witnesses[b0:b0 + bblock] = np.concatenate((partial.reshape(-1, m - 1, n), _sign_of(c.T)[:, None]), axis=1)
-    return best, witnesses
+            c = (c.reshape(n, -1, len(w)) * w[:, a].T[:, None]).sum(axis=0)
+        w[:, m - 1] = _sign_of(c.T)
+        if (np.abs(c).sum(axis=0) != values[b0:b0 + bblock]).any():
+            raise AssertionError(f"witness re-evaluation mismatch in boards {b0}..{b0 + len(w) - 1}")
+    return values, witnesses
 
 
 def exact_max(tensor: SignTensor, *, allow_large: bool = False) -> SolveResult:
     """Exact maximum of the switching form over all +/-1 assignments.
 
-    Runs the split kernel on a one-board stack (the module docstring gives
-    the assignments it visits and its integer widths). Raises BudgetExceeded
-    where ``exact_refusal(m, n, allow_large)`` gives a reason.
+    Runs the split kernel and ``_witnesses`` on a one-board stack (see the module docstring); raises
+    BudgetExceeded where ``exact_refusal(m, n, allow_large)`` gives a reason.
     """
     m, n = tensor.dims.m, tensor.dims.n
-    values, witnesses = _exact_kernel(m, n, tensor.entries[None], allow_large)
+    values, witnesses = _witnesses(m, n, tensor.entries[None], *_exact_kernel(m, n, tensor.entries[None], allow_large))
     return _checked_result(tensor, int(values[0]), witnesses[0], Method.EXACT, 1 << max(0, _certified_bits(m, n)))
 
 
@@ -298,7 +305,7 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
 
     Row i matches ``exact_max`` on the board with flat entries ``entries[i]``,
     witness bytes included. Input errors are raised before any kernel array
-    exists; every witness is re-evaluated in int64 (AssertionError if not).
+    exists; ``_witnesses`` proves every witness in int64 (AssertionError if not).
     """
     boards = np.asarray(entries)
     if boards.ndim != 2 or boards.shape[1] != DimSpec(m, n).size:
@@ -306,16 +313,7 @@ def exact_max_batch(m: int, n: int, entries) -> tuple[np.ndarray, np.ndarray]:
     if not len(boards):
         raise ValueError("exact_max_batch needs at least one board")
     _validate_signs(boards)
-    values, witnesses = _exact_kernel(m, n, boards)
-    bblock = 1 << _block_bits(8 * n ** m)
-    for b0 in range(0, len(boards), bblock):
-        cur = boards[b0:b0 + bblock].T.astype(np.int64, order="C")  # (n**m, B), as in the kernel
-        cols = witnesses[b0:b0 + bblock].transpose(1, 2, 0).astype(np.int64, order="C")
-        for a in range(m):
-            cur = (cur.reshape(n, -1, cur.shape[-1]) * cols[a, :, None]).sum(axis=0)
-        if (cur.reshape(-1) != values[b0:b0 + bblock]).any() or (np.abs(witnesses[b0:b0 + bblock]) != 1).any():
-            raise AssertionError(f"witness re-evaluation mismatch in boards {b0}..{b0 + cur.size - 1}")
-    return values, witnesses
+    return _witnesses(m, n, boards, *_exact_kernel(m, n, boards))
 
 
 def value_census(m: int, n: int) -> dict[int, int]:

@@ -89,7 +89,7 @@ def _jumps_loop(steps: int) -> np.ndarray:
 
 
 def test_jump_table_matches_stepwise_loop():
-    steps = (1 << rng._block_bits(240)) + 1  # the longest table sign_draws asks for: a pass and one step
+    steps = (1 << rng._block_bits(168)) + 1  # the longest table sign_draws asks for: a pass and one step
     oracle = _jumps_loop(steps)
     for size in [1 << k for k in range(steps.bit_length())] + [steps]:
         table = rng._jumps(size)
@@ -99,7 +99,7 @@ def test_jump_table_matches_stepwise_loop():
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
 def test_sign_draws_chunked_passes_keep_bytes(monkeypatch, chunk):
-    # a budget of ``chunk`` outputs (240 bytes each) gives passes of the largest power of two within it; a pass
+    # a budget of ``chunk`` outputs (168 bytes each) gives passes of the largest power of two within it; a pass
     # may end inside one seed's stream (chunk < steps), so the LCG state must carry over between passes; no
     # product exceeds a pass
     shapes = [(seeds, count, n) for seeds in (EDGE_SEEDS, MIX_SEEDS[:40]) for count, n in ((1, 27), (3, 49), (2, 256))]
@@ -113,7 +113,7 @@ def test_sign_draws_chunked_passes_keep_bytes(monkeypatch, chunk):
         return out
 
     monkeypatch.setattr(rng, "_mul128", recording)
-    monkeypatch.setattr(rng, "BLOCK_BYTES", 240 * chunk)
+    monkeypatch.setattr(rng, "BLOCK_BYTES", 168 * chunk)
     for shape, want in zip(shapes, expected):
         largest.clear()
         assert np.array_equal(sign_draws(*shape), want)

@@ -322,7 +322,7 @@ def test_exact_max_batch_every_4x4_board_matches_brute_force():
 
 
 def test_exact_max_batch_partial_board_block_matches_brute_force(monkeypatch):
-    # a 2**17-byte budget holds the int32 witness decode (4 * 16 bytes per board) of 2048 n = 4 boards, of
+    # a 2**17-byte budget holds the board view at 4 bytes per entry (4 * 16 bytes per board) of 2048 n = 4 boards, of
     # 2**3 visited assignments each: 2048 boards share a block, so the last of 2049 boards has a block to itself
     boards = generator(8, 2, 4).integers(0, 2, size=(2049, 16), dtype=np.int8) * 2 - 1
     boards[-1] = boards[0]
@@ -343,22 +343,50 @@ def test_exact_max_batch_matches_lex_oracle_on_tie_heavy_boards(m, n):
 
 
 def test_exact_max_batch_rejects_corrupted_witness(monkeypatch):
+    # the kernel returns values and sign words; a wrong value, or a word whose witness reaches less, fails the
+    # int64 witness pass of both exact_max and exact_max_batch
+    kernel, stack = solvers._exact_kernel, sign_rows(9)
+    target = make_tensor(DimSpec(2, 3), stack[5])
+    value, word = (int(out[0]) for out in kernel(2, 3, target.entries[None]))
+    flips = [j for j in range(3) if majority_fix(target, [_signs_at(word ^ 1 << j, 3)])[1] != value]
+    assert flips  # a bit of x0 whose flip changes the form at the witness
+
+    def corrupted(change):
+        def run(m, n, boards, allow_large=False):
+            values, index = kernel(m, n, boards, allow_large)
+            hit = (boards == target.entries).all(axis=1)  # only the target's row changes
+            bad_values, bad_index = change(values, index)
+            return np.where(hit, bad_values, values), np.where(hit, bad_index, index)
+        return run
+
+    for change in (lambda values, index: (values + 2, index), lambda values, index: (values, index ^ 1 << flips[0])):
+        monkeypatch.setattr(solvers, "_exact_kernel", corrupted(change))
+        for solve in (lambda: exact_max_batch(2, 3, stack), lambda: exact_max(target)):
+            with pytest.raises(AssertionError, match="witness re-evaluation mismatch"):
+                solve()
+
+
+def test_witness_pass_in_many_blocks(monkeypatch):
+    # a budget of 16 boards' int64 copies splits 40 boards into witness blocks 0..15, 16..31 and 32..39
+    m, n = 3, 3
+    boards = generator(47, m, n).integers(0, 2, size=(40, n ** m), dtype=np.int8) * 2 - 1
+    values, witnesses = exact_max_batch(m, n, boards)
+    sign_of, blocks = solvers._sign_of, []
+    monkeypatch.setattr(solvers, "_sign_of", lambda c: blocks.append(len(c)) or sign_of(c))
+    monkeypatch.setattr(rng_module, "BLOCK_BYTES", 16 * 8 * n ** m)
+    split_values, split_witnesses = exact_max_batch(m, n, boards)
+    assert blocks == [16, 16, 8]
+    assert np.array_equal(split_values, values) and split_witnesses.tobytes() == witnesses.tobytes()
     kernel = solvers._exact_kernel
 
-    def negate_last_vector(m, n, boards):
-        values, witnesses = kernel(m, n, boards)
-        witnesses[5, m - 1] *= -1  # the form changes sign, and every value is positive
-        return values, witnesses
+    def corrupted(m, n, boards, allow_large=False):
+        values, index = kernel(m, n, boards, allow_large)
+        values[20] += 2
+        return values, index
 
-    def zero_entry(m, n, boards):
-        values, witnesses = kernel(m, n, boards)
-        witnesses[2, 0, 1] = 0
-        return values, witnesses
-
-    for corrupt in (negate_last_vector, zero_entry):
-        monkeypatch.setattr(solvers, "_exact_kernel", corrupt)
-        with pytest.raises(AssertionError, match="witness re-evaluation mismatch"):
-            exact_max_batch(2, 3, sign_rows(9))
+    monkeypatch.setattr(solvers, "_exact_kernel", corrupted)
+    with pytest.raises(AssertionError, match=r"^witness re-evaluation mismatch in boards 16\.\.31$"):
+        exact_max_batch(m, n, boards)
 
 
 def test_one_board_solvers_reject_a_witness_that_does_not_re_evaluate(monkeypatch):
@@ -454,7 +482,7 @@ def test_value_census_is_the_same_in_many_blocks(monkeypatch):
         return exact_max_batch(m, n, entries)
 
     # 8 boards of 16 entries per census block; a kernel block would hold the c of 4 boards of 2**3 assignments,
-    # but the int32 witness decode of 16 entries per board caps it at 2 boards
+    # but the board view at 4 bytes per entry caps it at 2 boards
     kernel_blocks = _kernel_blocks(monkeypatch, 128)
     monkeypatch.setattr(solvers, "exact_max_batch", recorded)
     assert value_census(2, 4) == one_block
