@@ -135,7 +135,7 @@ def parse_exponent(text: str):
         raise argparse.ArgumentTypeError(f"invalid exponent {text!r}") from exc
 
 
-#: The most n values one --n option takes.
+#: The most n values one --n option takes, and the most points of each ``region --boundary`` curve.
 MAX_N_VALUES = 1 << 16
 
 
@@ -332,8 +332,8 @@ def _cmd_ksz(args) -> list[ExperimentRecord]:
     return records
 
 
-#: verify-bound scores all 2**((n-1)**2) n x n normal forms, so (n-1)**2 stays within this many bits (n = 6: ~13 s).
-_SWEEP_BITS = 16
+#: The largest n verify-bound sweeps: it scores all 2**F n x n normal forms, F = (n-1)**2 (n = 6: ~13 s).
+_SWEEP_MAX_N = 5
 
 
 def _cmd_verify_extremal(args) -> list[ExperimentRecord]:
@@ -354,9 +354,10 @@ def _cmd_verify_extremal(args) -> list[ExperimentRecord]:
 def _cmd_verify_bound(args) -> list[ExperimentRecord]:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
-    if args.max_n - 1 > math.isqrt(_SWEEP_BITS):  # (max_n-1)**2 > _SWEEP_BITS
-        raise BudgetExceeded(f"--max-n {args.max_n} would tabulate 2**{(args.max_n - 1) ** 2} normal-form boards; "
-                             f"the limit is 2**{_SWEEP_BITS} boards (--max-n {math.isqrt(_SWEEP_BITS) + 1})")
+    if args.max_n > _SWEEP_MAX_N:
+        bits, limit = (solvers._free_entries(2, n) for n in (args.max_n, _SWEEP_MAX_N))
+        raise BudgetExceeded(f"--max-n {args.max_n} would tabulate 2**{bits} normal-form boards; "
+                             f"the limit is 2**{limit} boards (--max-n {_SWEEP_MAX_N})")
     if args.m3_samples < 0:
         raise ValueError(f"--m3-samples must be >= 0, got {args.m3_samples}")
     if args.m3_samples > 0:
@@ -423,6 +424,8 @@ def _cmd_region(args) -> list[ExperimentRecord]:
         p_max = Fraction(12) if args.p_max is None else args.p_max
         if points < 2:
             raise ValueError(f"--grid-points must be >= 2, got {points}")
+        if points > MAX_N_VALUES:  # each point builds a row of ~1.3 KB
+            raise ValueError(f"--grid-points must be <= {MAX_N_VALUES}, got {points}")
         if p_max == math.inf:
             raise InvalidExponent("--p-max must be finite, got inf")
         bounds._above_threshold(m, p_max, "--p-max must be")

@@ -11,11 +11,11 @@ reference and as the single-seed board path (``random_tensor``).
 arithmetic fixed by numpy's sources and draws nothing from numpy: the
 ``SeedSequence`` pool hash and ``generate_state(4, uint64)`` in uint32,
 one vectorised round per pool word over a (4, B) array with the hash
-constants precomputed, then every output at once by the LCG's closed-form
-jump (O'Neill 2014) and PCG64's XSL-RR output, in uint64 from 32-bit limbs.
-PCG64's ``srandom`` is the first of those jumps: it sets state_0 =
-(initstate + inc) M + inc, so the t-th output's state is
-A_(t+1) (initstate + inc) + C_(t+1) inc mod 2**128.
+constants precomputed, then the outputs in passes by the LCG's closed-form
+jump (O'Neill 2014, its table stepped in Python integers) and PCG64's XSL-RR
+output, in uint64 from 32-bit limbs. PCG64's ``srandom`` is the first of
+those jumps: it sets state_0 = (initstate + inc) M + inc, so the t-th
+output's state is A_(t+1) (initstate + inc) + C_(t+1) inc mod 2**128.
 """
 
 from __future__ import annotations
@@ -147,13 +147,10 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 @functools.lru_cache(maxsize=None)
 def _jumps(steps: int) -> np.ndarray:
     """Read-only (4, steps) uint64 rows A_hi, A_lo, C_hi, C_lo of the t-step LCG maps x -> A_t x + C_t inc."""
-    table = np.array([[_PCG_MULT >> 64], [_PCG_MULT & _MASK64], [0], [1]], dtype=np.uint64)
-    while table.shape[1] < steps:  # doubling: T steps then t steps is A_{T+t} = A_t A_T, C_{T+t} = A_t C_T + C_t
-        a_hi, a_lo, c_hi, c_lo = table
-        last = table[:, -1:]  # A_T, C_T
-        a, c = _mul128(a_hi, a_lo, *last[:2]), _add128(*_mul128(a_hi, a_lo, *last[2:]), c_hi, c_lo)
-        table = np.concatenate((table, np.array([*a, *c])), axis=1)
-    table = table[:, :steps]
+    a, c, table = 1, 0, np.empty((4, steps), dtype=np.uint64)
+    for t in range(steps):  # column t is t + 1 steps: A_(t+1) = M A_t, C_(t+1) = M C_t + 1 mod 2**128
+        a, c = a * _PCG_MULT % (1 << 128), (c * _PCG_MULT + 1) % (1 << 128)
+        table[:, t] = a >> 64, a & _MASK64, c >> 64, c & _MASK64
     table.setflags(write=False)
     return table
 
@@ -166,35 +163,36 @@ def sign_draws(seeds, count: int, n: int) -> np.ndarray:
     ``sign_draws([mix(*parts)], count, n)[0]`` is ``count`` calls on
     ``generator(*parts)``. ``seeds`` is a sequence of B integers in
     [0, 2**64). ``check_draw`` runs before any array is allocated.
+
+    Seeds run in blocks, each hashed once and drawn in passes of
+    ``1 << _block_bits(168)`` outputs; each sign is written once, into one int8
+    array, which one copy compacts when the calls leave spare sign bytes.
     """
     check_draw(len(seeds), count, n)
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     # integers(0, 2, size=n, dtype=int8) takes ceil(n/4) fresh 32-bit words per call, the low then
     # the high half of each 64-bit output (a spare high half goes to the next call); sign i is
-    # bit 7 of byte i of the little-endian words, as Lemire's rule at range 2 never rejects.
+    # bit 7 of byte i of the little-endian words (+1 where set), as Lemire's rule at range 2 never rejects.
     width = -(-n // 4) * 4
     steps = -(-count * width // 8)
-    # outputs (seeds x steps) per pass: at most 168 bytes of uint64 temporaries each (161 measured at one per seed)
-    chunk = 1 << _block_bits(168)
+    chunk = 1 << _block_bits(168)  # outputs per pass, at most 168 B of temporaries each (153 measured at one per seed)
     block = max(1, chunk // max(1, steps))
-    if len(seeds) > block:  # one call per seed block, whose arrays are freed before the next block's seeds hash
-        out = np.empty((len(seeds), count, n), dtype=np.int8)
-        for b0 in range(0, len(seeds), block):
-            out[b0:b0 + block] = sign_draws(seeds[b0:b0 + block], count, n)
-        return out
     a_hi, a_lo, c_hi, c_lo = _jumps(min(chunk, 1 << max(0, steps - 1).bit_length()) + 1)
-    words = _pcg64_words(seeds)[:, :, None]
-    # srandom(initstate, initseq): inc = 2 initseq + 1, state_0 = (initstate + inc) M + inc, so the
-    # t-th output's state is A_(t+1) (initstate + inc) + C_(t+1) inc: the first pass reads one column on
-    inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
-    (s_hi, s_lo), j = _add128(*inc, words[:, 0], words[:, 1]), 1
-    signs = np.empty((len(words), steps * 8), dtype=np.int8)
-    for t0 in range(0, steps, chunk):
-        t = min(chunk, steps - t0)
-        hi, lo = _add128(*_mul128(a_hi[j:j + t], a_lo[j:j + t], s_hi, s_lo),
-                         *_mul128(c_hi[j:j + t], c_lo[j:j + t], *inc))
-        s_hi, s_lo, j = hi[:, -1:], lo[:, -1:], 0
-        rot, word = hi >> 58, hi ^ lo  # XSL-RR: xor-fold, then rotate right by the top 6 bits
-        word = word >> rot | word << ((64 - rot) & 63)
-        signs[:, 8 * t0:8 * (t0 + t)] = word.astype("<u8", copy=False).view(np.uint8) >> 7
-    return signs[:, :count * width].reshape(len(signs), count, width)[:, :, :n] * 2 - 1
+    out = np.empty((len(seeds), steps * 8), dtype=np.int8)
+    for b0 in range(0, len(seeds) if steps else 0, block):  # a block runs at least one pass, so none without output
+        words = _pcg64_words(seeds[b0:b0 + block])[:, :, None]
+        # srandom(initstate, initseq): inc = 2 initseq + 1, state_0 = (initstate + inc) M + inc, so the t-th
+        # output's state is A_(t+1) (initstate + inc) + C_(t+1) inc: the first pass reads one column on
+        inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
+        state, j = _add128(*inc, words[:, 0], words[:, 1]), 1
+        for t0 in range(0, steps, chunk):
+            t = min(chunk, steps - t0)
+            hi, lo = _add128(*_mul128(a_hi[j:j + t], a_lo[j:j + t], *state),
+                             *_mul128(c_hi[j:j + t], c_lo[j:j + t], *inc))
+            state, j = (hi[:, -1:], lo[:, -1:]), 0
+            rot, word = hi >> 58, hi ^ lo  # XSL-RR: xor-fold, then rotate right by the top 6 bits
+            word = ~(word >> rot | word << ((64 - rot) & 63))  # inverted, so an int8 byte >> 7 is 0 for +1, -1 for -1
+            np.bitwise_or(word.astype("<u8", copy=False).view(np.int8) >> 7, 1,
+                          out=out[b0:b0 + block, 8 * t0:8 * (t0 + t)])
+        del words, inc, state, hi, lo, rot, word  # before the next block's seeds hash
+    return np.ascontiguousarray(out[:, :count * width].reshape(len(out), count, width)[:, :, :n])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import alternating_max_loop, sign_draws_loop
 from gbswitch import (DimMismatch, DimSpec, conjecture_exponent, evaluate, km_constant, make_assignment, random_tensor,
                       read_tensor)
-from gbswitch import cli, experiments, lp, rng, solvers
+from gbswitch import bounds, cli, experiments, lp, rng, solvers
 from gbswitch.cli import (
     CSV_HEADER,
     MAX_N_VALUES,
@@ -279,6 +279,20 @@ def test_region_boundary_bad_input_exits_2(args, message, monkeypatch, capsys):
     assert f"gbswitch: error: {message}\n" == capsys.readouterr().err
 
 
+def test_region_grid_points_cap_before_any_row(monkeypatch, capsys):
+    # each point builds a row (~1.3 KB), so the cap is checked before the curve formulas that build the first rows
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a curve row was built")
+
+    monkeypatch.setattr(bounds, "_lower", unreachable)
+    monkeypatch.setattr(bounds, "_sharp", unreachable)
+    with pytest.raises(AssertionError, match="a curve row was built"):
+        invoke(["region", "--m", "2", "--boundary", "--grid-points", "2"], monkeypatch)
+    code, out = invoke(["region", "--m", "2", "--boundary", "--grid-points", str(MAX_N_VALUES + 1)], monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.endswith("gbswitch: error: --grid-points must be <= 65536, got 65537\n")
+
+
 @pytest.mark.parametrize("args", [
     ["--grid-points", "-5", "--p-max", "1"], ["--grid-points", "40"], ["--p-max", "12"],
 ])
@@ -478,6 +492,14 @@ def test_verify_bound_size_guard_before_any_board(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err.endswith("error: --max-n 6 would tabulate 2**25 normal-form boards; "
                         "the limit is 2**16 boards (--max-n 5)\n")
+
+
+def test_verify_bound_max_n_past_dimspec_is_size_overflow(monkeypatch, capsys):
+    # the guard's message counts F = (n-1)**2 with solvers._free_entries, so an n x n board past DimSpec's 2**40
+    # entries is refused with DimSpec's own text
+    code, out = invoke(["verify-bound", "--max-n", str(2**20 + 1)], monkeypatch)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.endswith("gbswitch: error: n**m = 1048577**2 exceeds 2**40 entries or 40 axes\n")
 
 
 def test_verify_bound_n5_row_matches_sorted_row_representatives(monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,32 @@ def test_jump_table_matches_stepwise_loop():
         table = rng._jumps(size)
         assert table.dtype == np.uint64 and not table.flags.writeable
         assert np.array_equal(table, oracle[:, :size]), size
+
+
+@pytest.mark.parametrize("seed", [0, 5, mix(7), 2**64 - 1])
+def test_jump_table_matches_numpy_advance(seed):
+    # an oracle independent of the recurrence: numpy's own PCG64.advance(t) moves state x to A_t x + C_t inc
+    table = [[int(v) for v in row] for row in rng._jumps(4097)]
+    for t in (1, 2, 64, 4097):
+        a, c = table[0][t - 1] << 64 | table[1][t - 1], table[2][t - 1] << 64 | table[3][t - 1]
+        bitgen = np.random.PCG64(seed)
+        x, inc = bitgen.state["state"]["state"], bitgen.state["state"]["inc"]
+        assert bitgen.advance(t).state["state"]["state"] == (a * x + c * inc) % 2**128, t
+
+
+@pytest.mark.parametrize("seeds, n", [([mix(7)], 2**19), (mix(7, np.arange(2**14, dtype=np.uint64)), 8)],
+                         ids=["one-seed-2^16-outputs", "2^14-seeds-one-output-each"])
+def test_sign_draws_memory_is_the_output_and_one_block(seeds, n):
+    # a long stream runs in many passes and a tall stack in many seed blocks; beyond its result, a draw holds at
+    # most one block's temporaries, whatever the number of passes or blocks
+    sign_draws(seeds, 1, n)  # the jump table is cached before the measurement
+    tracemalloc.start()
+    try:
+        draws = sign_draws(seeds, 1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws.nbytes + rng.BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
