@@ -94,10 +94,7 @@ def _block_bits(row_bytes: int) -> int:
 
 def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
     """(calls + 1, 1) uint32: the hash constant of SeedSequence before each of ``calls`` calls, then after the last."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(calls + 1)], dtype=np.uint32)[:, None]
 
 
 # hashmix: 4 entropy words, then 3 per pool word (one round each); the output hash: 8 words
@@ -147,10 +144,11 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 @functools.lru_cache(maxsize=None)
 def _jumps(steps: int) -> np.ndarray:
     """Read-only (4, steps) uint64 rows A_hi, A_lo, C_hi, C_lo of the t-step LCG maps x -> A_t x + C_t inc."""
-    a, c, table = 1, 0, np.empty((4, steps), dtype=np.uint64)
-    for t in range(steps):  # column t is t + 1 steps: A_(t+1) = M A_t, C_(t+1) = M C_t + 1 mod 2**128
-        a, c = a * _PCG_MULT % (1 << 128), (c * _PCG_MULT + 1) % (1 << 128)
-        table[:, t] = a >> 64, a & _MASK64, c >> 64, c & _MASK64
+    a, c, cols, mask = 1, 0, [], (1 << 128) - 1
+    for _ in range(steps):  # column t is t + 1 steps: A_(t+1) = M A_t, C_(t+1) = M C_t + 1 mod 2**128
+        a, c = a * _PCG_MULT & mask, c * _PCG_MULT + 1 & mask
+        cols.append((a << 128 | c).to_bytes(32, "big"))  # big-endian words A_hi, A_lo, C_hi, C_lo
+    table = np.ascontiguousarray(np.frombuffer(b"".join(cols), dtype=">u8").reshape(steps, 4).T, dtype=np.uint64)
     table.setflags(write=False)
     return table
 
