@@ -9,7 +9,8 @@ lp game value up to float rounding: it is computed in float64 and may sit
 a few ulp above the exact value at the witness (never claimed to attain it).
 
 The random starts of one solve are stacked: the board is cast to float64
-once, each axis update contracts every live start at once
+once (and at m >= 3 copied once more, led by axis m-2, for the last axis's
+in-order einsum step), each axis update contracts every live start at once
 (``tensor._contract``) and takes the dual update row by row
 (``_dual_coords``). Each row does the same floating-point operations in the
 same order as a lone start, so values, witnesses and traces are the same
@@ -48,7 +49,7 @@ class LpPoint:
         coords = np.asarray(self.coords, dtype=np.float64)
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        if abs(lp_norm(coords, self.p) - 1.0) > _UNIT_TOL:
+        if not abs(lp_norm(coords, self.p) - 1.0) <= _UNIT_TOL:  # a nan norm fails too
             raise ValueError(f"coords are not on the unit l{self.p} sphere")
 
 
@@ -128,11 +129,11 @@ def alternating_max(
     earliest start.
 
     The starts run as one (S, m, n) stack over one float64 copy of the
-    board, in blocks. Each axis update is one stacked contraction for every
-    start still sweeping, and a start leaves the stack at its own
-    convergence sweep. A row computes bit for bit what the start computes
-    alone: its trace, sweep count and ``converged`` flag do not depend on
-    the other starts.
+    board (two at m >= 3), in blocks. Each axis update is one stacked
+    contraction for every start still sweeping, and a start leaves the
+    stack at its own convergence sweep. A row computes bit for bit what the
+    start computes alone: its trace, sweep count and ``converged`` flag do
+    not depend on the other starts.
     """
     pf = _exponent_float(p)
     if starts < 1:
@@ -144,6 +145,8 @@ def alternating_max(
     m, n = tensor.dims.m, tensor.dims.n
     typed = tensor.view().astype(np.float64)
     moved = [np.moveaxis(typed, k, 0) for k in range(m)]
+    # axis m-1 contracts axis m-2 first, which is strided in moved[m-1] (no BLAS): a copy led by it
+    lead = np.moveaxis(typed, (m - 2, m - 1), (0, 1)).copy() if m >= 3 else None
     others = [[j for j in range(m) if j != k] for k in range(m)]
     block = 1 << _block_bits(8 * n ** max(1, m - 1))  # a start's first float64 contraction
     # random sign vectors pushed onto the lp sphere; for p = inf they are
@@ -160,7 +163,8 @@ def alternating_max(
         rows, cur = np.arange(len(vecs)), vecs.copy()  # the starts still sweeping
         for _ in range(sweeps_max):
             for k in range(m):
-                cur[:, k], value = _dual_coords(_contract(moved[k], cur[:, others[k]]), pf)
+                c = _contract(moved[k], cur[:, others[k]], lead if k == m - 1 else None)
+                cur[:, k], value = _dual_coords(c, pf)
             for r, v in zip(rows.tolist(), value.tolist()):
                 traces[r].append(v)
             done = value - prev <= tol * np.maximum(np.maximum(np.abs(value), np.abs(prev)), 1e-12)

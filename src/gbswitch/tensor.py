@@ -191,19 +191,30 @@ def partial_contraction(tensor: SignTensor, axis: int, vectors: Sequence[np.ndar
     return _contract(np.moveaxis(tensor.view(), axis, 0).astype(dtype), stack)[0]
 
 
-def _contract(moved: np.ndarray, stack: np.ndarray) -> np.ndarray:
+def _contract(moved: np.ndarray, stack: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
     """Contract a typed board view with each row of an (S, m-1, n) vector stack.
 
     ``moved`` is the (n,)*m board with the free axis first, already in the
     stack's dtype; row s contracts the last axis with stack[s, -1] first.
     Each step is a broadcast matmul, so every row runs the same gemv on the
-    same strided matrix as ``moved @ v``: results are bit-identical to a
-    per-row loop. Returns (S, n).
+    same matrix as ``moved @ v``: results are bit-identical to a per-row
+    loop. Returns (S, n).
+
+    Where that last axis is strided, numpy cannot hand the first step to
+    BLAS and runs its own loop, which adds each output's terms in index order
+    from 0. ``lead``, a C-contiguous copy of the board with that axis first
+    and ``moved``'s other axes after it, runs the step as an einsum instead:
+    numpy's unoptimised einsum loop adds the same terms in the same order,
+    several times faster, and its C-contiguous result keeps the later steps
+    on BLAS. The bytes match for a +/-1 board, whose products are exact (a
+    fused multiply-add rounds as a separate one), and a stack without nan.
     """
     s, k = stack.shape[:2]
     if not k:  # m = 1: the board is its own contraction
         return np.repeat(moved[None], s, axis=0)
     cur = moved
+    if lead is not None:
+        cur, k = np.einsum("b...,sb->s...", lead, stack[:, -1]), k - 1
     for j in range(k - 1, -1, -1):
         cur = (cur @ stack[:, j].reshape(s, *(1,) * j, -1, 1))[..., 0]
     return cur

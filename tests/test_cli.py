@@ -618,6 +618,13 @@ _PINNED_STDOUT = {
         "5da653fa5254bf41c149ca0b83cbd6b01f3bde1a5c147d9b0182e70b7e9fb34c",
     ("--json", "constants", "--m", "1,2"):
         "ee31ecedf4e0188bf7dda05b0f66cf6e813c6b7f7a42114a13ca505da4c4f401",
+    # lp ascent: repr'd float64 values, so a change in the order of any sum shows here
+    ("scan", "--m", "3", "--n", "2:9", "--method", "alt", "--p", "2", "--seed", "7"):
+        "d08536304ad29590c4a9ccdf4d364f1874fae38abe09391343430e8812ce03d2",
+    ("--json", "scan", "--m", "4", "--n", "2:5", "--method", "alt", "--p", "3/2", "--seed", "3"):
+        "a75679e7f0a6078924e374f177a4b4429b0dafff16376e93ec2417e889c6aee9",
+    ("ksz", "--m", "3", "--p", "3", "--n", "2:5", "--samples", "20", "--seed", "7"):
+        "e34d7080a95799f086cd0939afe917cf2aaaf8183f87e43d094c8523103f25bb",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,11 @@ def test_lp_point_rejects_coords_off_the_sphere():
     assert LpPoint(2.0, [0.6, 0.8]).coords.tolist() == [0.6, 0.8]
     with pytest.raises(ValueError, match=r"^coords are not on the unit l2.0 sphere$"):
         LpPoint(2.0, [1.0, 1.0])
+    for coords in ([math.nan, 0.0], [math.nan, 1.0], [math.inf, 0.0]):  # a nan norm is not within the tolerance
+        with pytest.raises(ValueError, match=r"^coords are not on the unit l2.0 sphere$"):
+            LpPoint(2.0, coords)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^coords are not on the unit l2.0 sphere$"):
+        dual_update(np.array([math.inf, 1.0]), 2)  # inf / inf: the coords would be [nan, 0]
 
 
 def test_alternating_max_edge_tol_and_huge_p():
@@ -288,6 +294,21 @@ def test_alternating_max_blocks_match_loop(monkeypatch):
     board = random_tensor(DimSpec(2, 6), generator(44))
     for p in (Fraction(3, 2), 3):
         _assert_same_ascent(alternating_max(board, p, starts=7, seed=5), alternating_max_loop(board, p, starts=7, seed=5))
+
+
+@pytest.mark.parametrize("n", (32, 64))
+def test_alternating_max_holds_two_boards_and_a_start_block(n):
+    # the float64 board and its copy led by axis m-2, one block of first contractions (8 starts of n*n floats)
+    # and 64 KiB for the (S, m, n) vector stacks; an (S,) + board product of the stack would be 8 boards
+    board = random_tensor(DimSpec(3, n), generator(3, n))
+    alternating_max(board, 3, sweeps_max=3, seed=1)  # numpy's and the draw's caches fill before the measurement
+    tracemalloc.start()
+    try:
+        alternating_max(board, 3, sweeps_max=3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n ** 3 + 8 * 8 * n ** 2 + (1 << 16), peak
 
 
 @pytest.mark.parametrize("p", (1, Fraction(4, 3), 1.5, 2, 3, 7, math.inf))

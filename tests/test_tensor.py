@@ -197,6 +197,34 @@ def test_partial_contraction_matches_matmul_loop(m, n):
         assert [row.tobytes() for row in _contract(moved, stack)] == rows
 
 
+def _wide_stacks(rng, shape):
+    """Float64 stacks whose sums depend on their order: wide magnitudes, zeros, overflow, inf - inf = nan.
+
+    No entry is nan: which nan payload and sign a sum with a nan operand keeps depends on the order of
+    its operands, not only of its terms, and no stack the ascent contracts holds one.
+    """
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+    zeros = np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], shape), wide)
+    huge = rng.choice([-1.5e308, 1.5e308, 1e300, -1e-300], shape)
+    infinite = rng.choice([math.inf, -math.inf, -0.0, 1.0, -2.5], shape)
+    return wide, zeros, huge, infinite, np.full(shape, -0.0)
+
+
+@pytest.mark.parametrize("m,n", [(3, n) for n in range(1, 22)] + [(4, 5), (4, 6), (5, 4), (6, 3), (3, 64), (4, 24)])
+def test_contract_lead_step_matches_strided_matmul(m, n):
+    # the einsum over the axis-(m-2)-led copy adds in the strided matmul's order: the same bytes, nan and -0.0 included
+    rng = np.random.default_rng(1000 * m + n)
+    typed = random_tensor(DimSpec(m, n), generator(m, n)).view().astype(np.float64)
+    moved, lead = np.moveaxis(typed, m - 1, 0), np.moveaxis(typed, (m - 2, m - 1), (0, 1)).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in (1, 8, 33):
+            for stack in _wide_stacks(rng, (s, m - 1, n)):
+                step = _contract(moved, stack[:, -1:], lead)  # a one-vector stack runs the lead step alone
+                strided = (moved @ stack[:, -1].reshape(s, *(1,) * (m - 2), -1, 1))[..., 0]
+                assert step.tobytes() == strided.tobytes() and step.flags.c_contiguous
+                assert _contract(moved, stack, lead).tobytes() == _contract(moved, stack).tobytes()
+
+
 def test_partial_contraction_errors():
     t = make_tensor(D22, [1, 1, 1, -1])
     with pytest.raises(AxisOutOfRange):
